@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -19,7 +18,7 @@
 #include "common/random.h"
 #include "pmem/pool.h"
 #include "pmem/slab_allocator.h"
-#include "storage/kv_engine.h"
+#include "storage/kv_flat.h"
 #include "storage/pipelined_store.h"
 
 namespace {
@@ -33,13 +32,9 @@ using oe::pmem::PmemDeviceOptions;
 using oe::pmem::PmemPool;
 using oe::pmem::SlabAllocator;
 using oe::pmem::SlabAllocatorOptions;
-using oe::storage::KvEngineKind;
+using oe::storage::FlatIndex;
 using oe::storage::PipelinedStore;
 using oe::storage::StoreConfig;
-
-/// --engine=<unordered|flat|pmem-bucket> narrows the BM_Engine* axis to one
-/// engine (default: all three, so a single --json run carries the race).
-std::string g_engine_filter;
 
 std::unique_ptr<PmemDevice> MakeDevice(uint64_t size) {
   PmemDeviceOptions options;
@@ -198,16 +193,11 @@ void BM_PushSgd(benchmark::State& state) {
 BENCHMARK(BM_PushSgd);
 
 // ---------------------------------------------------------------------------
-// KvEngine race (ISSUE 7): single-shard pull and push ops/s per index
-// engine. dim is small and the cache holds the whole working set, so the
-// index probe dominates each op — this is the apples-to-apples axis the
-// engine adoption decision (flat as default) is based on. Run with
-// --engine=<name> to narrow, or no flag for all three in one --json record.
+// Index rows: single-shard pull and push ops/s through the flat index. dim
+// is small and the cache holds the whole working set, so the index probe
+// dominates each op (DESIGN.md §5d).
 // ---------------------------------------------------------------------------
 
-constexpr KvEngineKind kEngineAxis[] = {KvEngineKind::kUnorderedMap,
-                                        KvEngineKind::kFlat,
-                                        KvEngineKind::kPmemBucket};
 constexpr uint32_t kEngineDim = 8;
 constexpr uint64_t kEngineKeys = 256 << 10;
 constexpr size_t kEngineBatch = 4096;
@@ -219,14 +209,12 @@ struct EngineFixture {
   std::vector<float> weights;
   std::vector<float> grads;
 
-  explicit EngineFixture(KvEngineKind engine) {
+  EngineFixture() {
     device = MakeDevice(512 << 20);
     StoreConfig config;
     config.dim = kEngineDim;
     config.cache_bytes = 512ULL << 20;  // everything stays DRAM-resident
     config.store_shards = 1;
-    config.kv_engine = engine;
-    config.kv_pmem_buckets = kEngineKeys / 8;  // 15-way slots: ~2x headroom
     store = PipelinedStore::Create(config, device.get()).ValueOrDie();
 
     // Materialize every key, then precompute shuffled batches so each
@@ -251,24 +239,15 @@ struct EngineFixture {
   }
 };
 
-/// Engine + shuffled key stream, no store around it: the setup every pure
+/// Index + shuffled key stream, no store around it: the setup every pure
 /// index benchmark below shares.
 struct KvFixture {
-  std::unique_ptr<PmemDevice> device;
-  std::unique_ptr<PmemPool> pool;
-  std::unique_ptr<oe::storage::KvEngine> kv;
+  FlatIndex kv;
   std::vector<uint64_t> keys;
 
-  explicit KvFixture(KvEngineKind engine) {
-    device = MakeDevice(512 << 20);
-    pool = PmemPool::Create(device.get()).ValueOrDie();
-    oe::storage::KvEngineOptions options;
-    options.pool = pool.get();
-    options.device = device.get();
-    options.pmem_buckets = kEngineKeys / 8;
-    kv = oe::storage::MakeKvEngine(engine, options).ValueOrDie();
+  KvFixture() {
     for (uint64_t k = 0; k < kEngineKeys; ++k) {
-      kv->Upsert(k, TaggedPtr::FromPmem(k * 8));
+      kv.Upsert(k, TaggedPtr::FromPmem(k * 8));
     }
     keys.resize(kEngineKeys);
     std::iota(keys.begin(), keys.end(), 0);
@@ -280,10 +259,10 @@ struct KvFixture {
 };
 
 // Pure single-key probe: Find + slot load over a shuffled key stream — one
-// dependent chain per key, the latency the engines differ on.
-void RunKvFind(benchmark::State& state, KvEngineKind engine) {
-  KvFixture fixture(engine);
-  auto& kv = *fixture.kv;
+// dependent chain per key.
+void BM_KvFind(benchmark::State& state) {
+  KvFixture fixture;
+  auto& kv = fixture.kv;
   const auto& keys = fixture.keys;
   size_t pos = 0;
   for (auto _ : state) {
@@ -292,14 +271,13 @@ void RunKvFind(benchmark::State& state, KvEngineKind engine) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK(BM_KvFind);
 
 // Single-shard index pull op, as the store's batched pull loop issues it:
-// FindBatch over a 4096-key shard batch, then a slot load per key. This is
-// the acceptance row — the adopted engine must beat the unordered_map
-// index >= 1.3x here and on the push twin below.
-void RunKvPullOps(benchmark::State& state, KvEngineKind engine) {
-  KvFixture fixture(engine);
-  auto& kv = *fixture.kv;
+// FindBatch over a 4096-key shard batch, then a slot load per key.
+void BM_KvPullOps(benchmark::State& state) {
+  KvFixture fixture;
+  auto& kv = fixture.kv;
   const auto& keys = fixture.keys;
   std::vector<oe::cache::AtomicTaggedPtr*> slots(kEngineBatch);
   size_t pos = 0;
@@ -313,12 +291,13 @@ void RunKvPullOps(benchmark::State& state, KvEngineKind engine) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kEngineBatch));
 }
+BENCHMARK(BM_KvPullOps);
 
 // Single-shard index push op: FindBatch, then the push path's slot
 // read-modify-write (load the published pointer, store it back).
-void RunKvPushOps(benchmark::State& state, KvEngineKind engine) {
-  KvFixture fixture(engine);
-  auto& kv = *fixture.kv;
+void BM_KvPushOps(benchmark::State& state) {
+  KvFixture fixture;
+  auto& kv = fixture.kv;
   const auto& keys = fixture.keys;
   std::vector<oe::cache::AtomicTaggedPtr*> slots(kEngineBatch);
   size_t pos = 0;
@@ -332,9 +311,10 @@ void RunKvPushOps(benchmark::State& state, KvEngineKind engine) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kEngineBatch));
 }
+BENCHMARK(BM_KvPushOps);
 
-void RunEnginePull(benchmark::State& state, KvEngineKind engine) {
-  EngineFixture fixture(engine);
+void BM_EnginePull(benchmark::State& state) {
+  EngineFixture fixture;
   uint64_t batch = 2;
   size_t next = 0;
   for (auto _ : state) {
@@ -351,9 +331,10 @@ void RunEnginePull(benchmark::State& state, KvEngineKind engine) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kEngineBatch));
 }
+BENCHMARK(BM_EnginePull);
 
-void RunEnginePush(benchmark::State& state, KvEngineKind engine) {
-  EngineFixture fixture(engine);
+void BM_EnginePush(benchmark::State& state) {
+  EngineFixture fixture;
   uint64_t batch = 2;
   size_t next = 0;
   for (auto _ : state) {
@@ -372,28 +353,7 @@ void RunEnginePush(benchmark::State& state, KvEngineKind engine) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kEngineBatch));
 }
-
-void RegisterEngineBenchmarks() {
-  for (KvEngineKind engine : kEngineAxis) {
-    const std::string name{oe::storage::KvEngineKindToString(engine)};
-    if (!g_engine_filter.empty() && g_engine_filter != name) continue;
-    benchmark::RegisterBenchmark(
-        ("BM_KvFind/" + name).c_str(),
-        [engine](benchmark::State& state) { RunKvFind(state, engine); });
-    benchmark::RegisterBenchmark(
-        ("BM_KvPullOps/" + name).c_str(),
-        [engine](benchmark::State& state) { RunKvPullOps(state, engine); });
-    benchmark::RegisterBenchmark(
-        ("BM_KvPushOps/" + name).c_str(),
-        [engine](benchmark::State& state) { RunKvPushOps(state, engine); });
-    benchmark::RegisterBenchmark(
-        ("BM_EnginePull/" + name).c_str(),
-        [engine](benchmark::State& state) { RunEnginePull(state, engine); });
-    benchmark::RegisterBenchmark(
-        ("BM_EnginePush/" + name).c_str(),
-        [engine](benchmark::State& state) { RunEnginePush(state, engine); });
-  }
-}
+BENCHMARK(BM_EnginePush);
 
 }  // namespace
 
@@ -423,27 +383,8 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   // BenchReport strips --json/--trace before benchmark::Initialize sees
-  // (and would reject) them; --engine is stripped the same way. An
-  // --engine run gets its own record name ("bench_micro_ops.<engine>") so
-  // the CI A/B rows coexist in one merged baseline.
-  g_engine_filter =
-      oe::bench::BenchReport::TakeFlag("--engine", &argc, argv);
-  if (!g_engine_filter.empty()) {
-    oe::storage::KvEngineKind parsed;
-    if (!oe::storage::ParseKvEngineKind(g_engine_filter, &parsed)) {
-      std::fprintf(stderr, "unknown --engine '%s'\n",
-                   g_engine_filter.c_str());
-      return 1;
-    }
-  }
-  oe::bench::BenchReport bench_report(
-      g_engine_filter.empty() ? std::string("bench_micro_ops")
-                              : "bench_micro_ops." + g_engine_filter,
-      &argc, argv);
-  if (!g_engine_filter.empty()) {
-    bench_report.AddConfig("engine", g_engine_filter);
-  }
-  RegisterEngineBenchmarks();
+  // (and would reject) them.
+  oe::bench::BenchReport bench_report("bench_micro_ops", &argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   JsonCaptureReporter reporter(&bench_report);

@@ -10,11 +10,11 @@
 // full Algorithm 2 mix (version-gated flushes, LRU maintenance, DRAM
 // loads, evictions, checkpoint acknowledgements). Time is the repo's
 // deterministic cost model over the measured device traffic (DESIGN.md §2:
-// a single-core host cannot time multi-threaded phases; the model makes
+// a small shared host cannot time multi-threaded phases; the model makes
 // the shape reproducible), with the maintenance window charged at
 // ContentionSpec::MaintenanceParallelism(maintainers, shards).
 
-#include <algorithm>
+#include <cstdlib>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -45,9 +45,8 @@ struct RunResult {
   uint64_t flushes = 0;
 };
 
-RunResult RunWorkload(oe::storage::KvEngineKind engine, int shards,
-                      int maintainers, uint64_t num_keys, int batches,
-                      size_t keys_per_batch) {
+RunResult RunWorkload(int shards, int maintainers, uint64_t num_keys,
+                      int batches, size_t keys_per_batch) {
   PmemDeviceOptions device_options;
   device_options.size_bytes = 1ULL << 30;
   device_options.crash_fidelity = CrashFidelity::kNone;
@@ -60,11 +59,6 @@ RunResult RunWorkload(oe::storage::KvEngineKind engine, int shards,
   config.cache_bytes = 2ULL << 20;
   config.store_shards = shards;
   config.maintainer_threads = maintainers;
-  config.kv_engine = engine;
-  // The pmem-bucket table is fixed-capacity: size each shard's bucket
-  // array for the full keyspace landing on it, with 15-slot buckets.
-  config.kv_pmem_buckets =
-      std::max<uint64_t>(64, num_keys / static_cast<uint64_t>(shards) / 8);
   auto store = PipelinedStore::Create(config, device.get()).ValueOrDie();
 
   oe::workload::SkewedKeySampler sampler(num_keys,
@@ -126,21 +120,8 @@ RunResult RunWorkload(oe::storage::KvEngineKind engine, int shards,
 
 int main(int argc, char** argv) {
   oe::bench::BenchReport bench_report("bench_shard_scaling", &argc, argv);
-  // --engine=<unordered|flat|pmem-bucket> picks the shard index engine
-  // (default flat, the adopted one) so scaling can be compared per engine.
-  oe::storage::KvEngineKind engine = oe::storage::KvEngineKind::kFlat;
-  const std::string engine_flag =
-      oe::bench::BenchReport::TakeFlag("--engine", &argc, argv);
-  if (!engine_flag.empty() &&
-      !oe::storage::ParseKvEngineKind(engine_flag, &engine)) {
-    std::fprintf(stderr, "unknown --engine '%s'\n", engine_flag.c_str());
-    return 1;
-  }
-  const std::string engine_name{oe::storage::KvEngineKindToString(engine)};
-  bench_report.AddConfig("kv_engine", engine_name);
   oe::bench::PrintHeader(
-      "bench_shard_scaling: maintenance throughput vs maintainer threads "
-      "(kv_engine=" + engine_name + ")",
+      "bench_shard_scaling: maintenance throughput vs maintainer threads",
       "pipelined cache maintenance overlaps GPU compute; sharding makes its "
       "throughput scale with maintainer threads");
 
@@ -160,8 +141,8 @@ int main(int argc, char** argv) {
     const char* label = shards > 1 ? "sharded-16" : "single-lock";
     double base_keys_per_sec = 0;
     for (const int threads : thread_counts) {
-      const RunResult r = RunWorkload(engine, shards, threads, num_keys,
-                                      batches, keys_per_batch);
+      const RunResult r =
+          RunWorkload(shards, threads, num_keys, batches, keys_per_batch);
       if (threads == 1) base_keys_per_sec = r.keys_per_sec;
       const std::string prefix =
           std::string(label) + ".t" + std::to_string(threads) + ".";

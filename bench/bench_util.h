@@ -200,10 +200,10 @@ class BenchReport {
     std::fclose(file);
   }
 
+ private:
   /// Removes `--flag value` / `--flag=value` from argv and returns the
   /// value ("" if absent). argv stays null-terminated for
-  /// benchmark::Initialize-style consumers. Public so benches with their
-  /// own axes (e.g. --engine) reuse the same stripping behavior.
+  /// benchmark::Initialize-style consumers.
   static std::string TakeFlag(const char* flag, int* argc, char** argv) {
     const size_t flag_len = std::strlen(flag);
     std::string value;
@@ -225,7 +225,6 @@ class BenchReport {
     return value;
   }
 
- private:
   static std::string NumberJson(double value) {
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%.17g", value);

@@ -14,12 +14,12 @@
 
 #include "common/format.h"
 #include "pmem/pool.h"
+#include "pmem/slab_allocator.h"
 #include "storage/pipelined_store.h"
 
 namespace {
 
 constexpr uint32_t kDim = 16;
-constexpr uint64_t kEntryTag = 0xE5;  // PipelinedStore's record tag
 
 oe::Status BuildDemoImage(const std::string& path) {
   oe::pmem::PmemDeviceOptions device_options;
@@ -84,6 +84,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto pool = std::move(pool_result).ValueOrDie();
+  // Entry records live in slab extents; attaching only reads the bitmaps.
+  auto slab_result = oe::pmem::SlabAllocator::Attach(
+      pool.get(), oe::pmem::SlabAllocatorOptions());
+  if (!slab_result.ok()) {
+    std::fprintf(stderr, "slab extents invalid: %s\n",
+                 slab_result.status().ToString().c_str());
+    return 1;
+  }
+  auto slab = std::move(slab_result).ValueOrDie();
 
   const uint64_t checkpoint = pool->RootGet(0);
   std::printf("\n=== pool report: %s ===\n", path.c_str());
@@ -98,7 +107,7 @@ int main(int argc, char** argv) {
   uint64_t records = 0;
   uint64_t recoverable = 0;
   uint64_t discardable = 0;
-  pool->ForEachAllocated(kEntryTag, [&](uint64_t offset, uint64_t size) {
+  slab->ForEachAllocated([&](uint64_t offset, uint64_t size) {
     (void)size;
     const uint8_t* record = pool->Translate(offset);
     const uint64_t version =

@@ -17,7 +17,7 @@ namespace oe::sim {
 /// The simulator executes the *real* storage/PS code path — every pull,
 /// push, eviction, flush and checkpoint runs through the actual engines —
 /// but derives time from the recorded device/network/contention traffic
-/// via CostModel instead of wall-clock (a single-core host cannot time a
+/// via CostModel instead of wall-clock (a small CPU host cannot time a
 /// 16-GPU cluster). Phase composition follows the paper's pipeline:
 ///
 ///   round = pull-burst

@@ -49,9 +49,9 @@ inline uint8_t Fingerprint(uint64_t hash) {
 
 }  // namespace
 
-FlatKvEngine::FlatKvEngine() { Rehash(kInitialSlots); }
+FlatIndex::FlatIndex() { Rehash(kInitialSlots); }
 
-size_t FlatKvEngine::FindSlot(EntryId key) const {
+size_t FlatIndex::FindSlot(EntryId key) const {
   const uint64_t h = Mix(key);
   const uint8_t fp = Fingerprint(h);
   const size_t chunks = capacity_ / kChunkSlots;
@@ -78,13 +78,18 @@ size_t FlatKvEngine::FindSlot(EntryId key) const {
   return SIZE_MAX;
 }
 
-cache::AtomicTaggedPtr* FlatKvEngine::Find(EntryId key) {
+cache::AtomicTaggedPtr* FlatIndex::Find(EntryId key) {
   const size_t slot = FindSlot(key);
   return slot == SIZE_MAX ? nullptr : &slots_[slot].value;
 }
 
-void FlatKvEngine::FindBatch(const EntryId* keys, size_t n,
-                             cache::AtomicTaggedPtr** out) {
+const cache::AtomicTaggedPtr* FlatIndex::Find(EntryId key) const {
+  const size_t slot = FindSlot(key);
+  return slot == SIZE_MAX ? nullptr : &slots_[slot].value;
+}
+
+void FlatIndex::FindBatch(const EntryId* keys, size_t n,
+                          cache::AtomicTaggedPtr** out) {
   // Three-stage software pipeline over blocks of kStride keys. Stage 1
   // hashes every key and prefetches its home tag line; stage 2 scans the
   // (now warm) tags and prefetches the exact slot lines the fingerprint
@@ -155,9 +160,14 @@ void FlatKvEngine::FindBatch(const EntryId* keys, size_t n,
   }
 }
 
-cache::AtomicTaggedPtr* FlatKvEngine::Upsert(EntryId key,
-                                             cache::TaggedPtr value) {
-  if ((used_ + 1) * 8 > capacity_ * 7) Rehash(capacity_ * 2);
+cache::AtomicTaggedPtr* FlatIndex::Upsert(EntryId key,
+                                          cache::TaggedPtr value) {
+  if ((used_ + 1) * 8 > capacity_ * 7) {
+    // Mostly tombstones (erase churn): rehashing in place drops them and
+    // leaves the table at most half full. Doubling here instead would grow
+    // capacity without bound at a fixed live size.
+    Rehash(size_ * 2 <= capacity_ ? capacity_ : capacity_ * 2);
+  }
   const uint64_t h = Mix(key);
   const uint8_t fp = Fingerprint(h);
   const size_t chunks = capacity_ / kChunkSlots;
@@ -209,7 +219,7 @@ cache::AtomicTaggedPtr* FlatKvEngine::Upsert(EntryId key,
   return &slots_[insert_slot].value;
 }
 
-bool FlatKvEngine::Erase(EntryId key) {
+bool FlatIndex::Erase(EntryId key) {
   const size_t slot = FindSlot(key);
   if (slot == SIZE_MAX) return false;
   // Tombstone, not empty: probes for other keys may pass through here.
@@ -219,27 +229,27 @@ bool FlatKvEngine::Erase(EntryId key) {
   return true;
 }
 
-void FlatKvEngine::Clear() {
+void FlatIndex::Clear() {
   std::fill(tags_.begin(), tags_.end(), kEmpty);
   size_ = 0;
   used_ = 0;
 }
 
-void FlatKvEngine::Reserve(size_t n) {
+void FlatIndex::Reserve(size_t n) {
   size_t target = kInitialSlots;
   // Capacity such that n stays under the 7/8 gate.
   while (target * 7 < (n + 1) * 8) target *= 2;
   if (target > capacity_) Rehash(target);
 }
 
-void FlatKvEngine::ForEach(
+void FlatIndex::ForEach(
     const std::function<void(EntryId, cache::TaggedPtr)>& fn) const {
   for (size_t i = 0; i < capacity_; ++i) {
     if (tags_[i] & 0x80) fn(slots_[i].key, slots_[i].value.load());
   }
 }
 
-void FlatKvEngine::InsertFresh(EntryId key, cache::TaggedPtr value) {
+void FlatIndex::InsertFresh(EntryId key, cache::TaggedPtr value) {
   const uint64_t h = Mix(key);
   const size_t chunks = capacity_ / kChunkSlots;
   size_t c = ChunkIndex(h, chunks);
@@ -265,7 +275,7 @@ void FlatKvEngine::InsertFresh(EntryId key, cache::TaggedPtr value) {
   }
 }
 
-void FlatKvEngine::Rehash(size_t new_slots) {
+void FlatIndex::Rehash(size_t new_slots) {
   std::vector<uint8_t> old_tags = std::move(tags_);
   std::vector<Slot> old_slots = std::move(slots_);
   const size_t old_capacity = capacity_;

@@ -2,13 +2,28 @@
 #define OE_STORAGE_KV_FLAT_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "storage/kv_engine.h"
+#include "cache/tagged_ptr.h"
+#include "storage/embedding_store.h"
 
 namespace oe::storage {
 
-/// F14-style open-addressing flat table (the adopted default engine).
+/// Per-shard key -> TaggedPtr index of the pipelined store: an F14-style
+/// open-addressing flat table (DESIGN.md §5d).
+///
+/// Lock contract (enforced by the caller, PipelinedStore, which wraps each
+/// index in its shard RW lock):
+///   - Find / FindBatch / Size / ForEach require at least the shard *read*
+///     lock.
+///   - Upsert / Erase / Clear / Reserve require the shard *write* lock.
+/// Returned slot pointers stay valid until the next Upsert/Erase/Clear on
+/// the same index — mutations need the write lock, which excludes every
+/// reader still holding a slot pointer. The slots themselves are atomics:
+/// the push path stores through a slot while concurrent readers (shared
+/// lock only) load it, and that 8-byte exchange must be tear-free. The
+/// index is pure DRAM: crash recovery rebuilds it from the record scan.
 ///
 /// Layout: the table is an array of 16-slot *chunks*. A parallel tag array
 /// keeps one byte per slot — 0 = empty, 1 = tombstone, 0x80 | fp7 for an
@@ -19,24 +34,49 @@ namespace oe::storage {
 /// hits average ~1 key compare. Probing is linear over chunks and stops at
 /// the first chunk containing an empty tag (tombstones keep probes going).
 ///
-/// Growth: doubles when occupied + tombstones reach 7/8 of capacity
-/// (rehash drops tombstones). Growth invalidates slot pointers, which is
-/// why the contract ties slot lifetime to the caller's write lock.
-class FlatKvEngine final : public KvEngine {
+/// Growth: when occupied + tombstones reach 7/8 of capacity the table
+/// rehashes, which drops the tombstones — in place when at most half the
+/// capacity is live (erase churn), doubling otherwise. Rehash invalidates
+/// slot pointers, which is why the contract ties slot lifetime to the
+/// caller's write lock.
+class FlatIndex {
  public:
-  FlatKvEngine();
+  FlatIndex();
 
-  cache::AtomicTaggedPtr* Find(EntryId key) override;
-  void FindBatch(const EntryId* keys, size_t n,
-                 cache::AtomicTaggedPtr** out) override;
-  cache::AtomicTaggedPtr* Upsert(EntryId key, cache::TaggedPtr value) override;
-  bool Erase(EntryId key) override;
-  void Clear() override;
-  void Reserve(size_t n) override;
-  size_t Size() const override { return size_; }
-  void ForEach(const std::function<void(EntryId, cache::TaggedPtr)>& fn)
-      const override;
-  KvEngineKind kind() const override { return KvEngineKind::kFlat; }
+  /// Slot holding `key`, or nullptr if absent.
+  cache::AtomicTaggedPtr* Find(EntryId key);
+  const cache::AtomicTaggedPtr* Find(EntryId key) const;
+
+  /// Batched Find: out[i] = Find(keys[i]) for i < n. The store's pull/push
+  /// loops are batched per shard, which this exploits by software-
+  /// pipelining the probe — hash and prefetch a stride of home lines ahead
+  /// of the tag scans, which in turn run ahead of the key compares. The
+  /// probe address is computable from the hash alone, before any memory is
+  /// touched, so the dependent loads of successive keys overlap instead of
+  /// serializing.
+  void FindBatch(const EntryId* keys, size_t n, cache::AtomicTaggedPtr** out);
+
+  /// Inserts or updates `key` and returns its slot (never null).
+  cache::AtomicTaggedPtr* Upsert(EntryId key, cache::TaggedPtr value);
+
+  /// Removes `key`; false if absent.
+  bool Erase(EntryId key);
+
+  /// Drops every entry (capacity is kept).
+  void Clear();
+
+  /// Size hint before a bulk rebuild (recovery).
+  void Reserve(size_t n);
+
+  /// Live entry count.
+  size_t Size() const { return size_; }
+
+  /// Slot capacity (tests: bounded growth under erase churn).
+  size_t capacity() const { return capacity_; }
+
+  /// Cold scan over every (key, value). Requires no concurrent mutator
+  /// (the store only scans under all-shard locks).
+  void ForEach(const std::function<void(EntryId, cache::TaggedPtr)>& fn) const;
 
  private:
   struct Slot {

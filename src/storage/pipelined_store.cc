@@ -65,46 +65,36 @@ Result<std::unique_ptr<PipelinedStore>> PipelinedStore::Open(
   // recovery path (scan + discard-newer-than-checkpoint + index rebuild)
   // adopt the existing contents.
   OE_ASSIGN_OR_RETURN(store->pool_, pmem::PmemPool::Open(device));
+  // Images from retired layouts (records allocated straight from the pool,
+  // PMem-resident index buckets) hold records the slab scan cannot see;
+  // recovering them would silently drop those entries.
+  for (uint64_t tag : {kRetiredEntryTag, kRetiredBucketTag}) {
+    bool found = false;
+    store->pool_->ForEachAllocated(
+        tag, [&](uint64_t, uint64_t) { found = true; });
+    if (found) {
+      return Status::FailedPrecondition(
+          "pool holds blocks of a retired record layout");
+    }
+  }
   OE_RETURN_IF_ERROR(store->Init());
   OE_RETURN_IF_ERROR(store->RecoverFromCrash());
   return store;
 }
 
-Result<std::unique_ptr<KvEngine>> PipelinedStore::MakeShardEngine() {
-  KvEngineOptions options;
-  options.pool = pool_.get();
-  options.device = device_;
-  options.pmem_buckets = config_.kv_pmem_buckets;
-  options.bucket_extent_tag = kKvBucketTag;
-  return MakeKvEngine(config_.kv_engine, options);
-}
-
-Result<uint64_t> PipelinedStore::AllocRecord(const void* data, size_t size,
-                                             size_t shard) {
-  if (slab_ != nullptr) {
-    return slab_->AllocWrite(data, size, static_cast<uint32_t>(shard));
-  }
-  return pool_->AllocWrite(data, size, kEntryTag);
-}
-
-Status PipelinedStore::FreeRecord(uint64_t offset) {
-  if (slab_ != nullptr) return slab_->Free(offset);
-  return pool_->Free(offset);
+Status PipelinedStore::AttachSlab() {
+  pmem::SlabAllocatorOptions slab_options;
+  slab_options.lanes = static_cast<uint32_t>(shards_.size());
+  OE_ASSIGN_OR_RETURN(slab_,
+                      pmem::SlabAllocator::Attach(pool_.get(), slab_options));
+  return Status::OK();
 }
 
 Status PipelinedStore::Init() {
   if (pool_ == nullptr) {
     OE_ASSIGN_OR_RETURN(pool_, pmem::PmemPool::Create(device_));
   }
-  if (config_.slab_alloc) {
-    pmem::SlabAllocatorOptions slab_options;
-    slab_options.lanes = static_cast<uint32_t>(shards_.size());
-    OE_ASSIGN_OR_RETURN(slab_,
-                        pmem::SlabAllocator::Attach(pool_.get(), slab_options));
-  }
-  for (auto& sh : shards_) {
-    OE_ASSIGN_OR_RETURN(sh.index, MakeShardEngine());
-  }
+  OE_RETURN_IF_ERROR(AttachSlab());
   if (config_.cache_enabled) {
     cache_capacity_ = std::max<size_t>(
         1, config_.cache_bytes / layout_.record_bytes());
@@ -202,9 +192,7 @@ PipelinedStore::CacheEntry* PipelinedStore::CreateCachedEntryLocked(
   config_.initializer.Fill(key, entry->data.get(), config_.dim);
   dram_stats_.AddWrite(layout_.data_bytes());
   CacheEntry* raw = entry.get();
-  if (sh.index->Upsert(key, TaggedPtr::FromDram(raw)) == nullptr) {
-    return nullptr;  // fixed-capacity engine full; caller reports OutOfSpace
-  }
+  sh.index.Upsert(key, TaggedPtr::FromDram(raw));
   sh.cache_entries.emplace(key, std::move(entry));
   ++sh.fresh_entries;
   stats_.new_entries.fetch_add(1, std::memory_order_relaxed);
@@ -243,7 +231,7 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
       shard_keys[k] = keys[order[begin[s] + k]];
     }
     ReadGuard guard(sh.lock);
-    sh.index->FindBatch(shard_keys.data(), count, shard_slots.data());
+    sh.index.FindBatch(shard_keys.data(), count, shard_slots.data());
     for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
       const size_t i = order[j];
       cache::AtomicTaggedPtr* slot = shard_slots[j - begin[s]];
@@ -303,13 +291,10 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
     for (size_t j = m; j < m_end; ++j) {
       const size_t i = missing[j];
       const EntryId key = keys[i];
-      cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+      cache::AtomicTaggedPtr* slot = sh.index.Find(key);
       if (slot == nullptr) {
         if (config_.cache_enabled) {
           CacheEntry* entry = CreateCachedEntryLocked(s, key, batch);
-          if (entry == nullptr) {
-            return Status::OutOfSpace("kv engine index full");
-          }
           std::memcpy(out + i * config_.dim, entry->data.get(), weight_bytes);
           dram_stats_.AddRead(weight_bytes);
         } else {
@@ -356,12 +341,9 @@ Status PipelinedStore::PullPmemDirect(size_t shard, EntryId key,
                            config_.dim);
   pmem::PersistSiteGuard site("direct-create");
   OE_ASSIGN_OR_RETURN(uint64_t offset,
-                      AllocRecord(record.data(), record.size(), shard));
-  if (shards_[shard].index->Upsert(key, TaggedPtr::FromPmem(offset)) ==
-      nullptr) {
-    OE_CHECK_OK(FreeRecord(offset));
-    return Status::OutOfSpace("kv engine index full");
-  }
+                      slab_->AllocWrite(record.data(), record.size(),
+                                        static_cast<uint32_t>(shard)));
+  shards_[shard].index.Upsert(key, TaggedPtr::FromPmem(offset));
   stats_.new_entries.fetch_add(1, std::memory_order_relaxed);
   std::memcpy(out, EntryLayout::RecordData(record.data()),
               config_.dim * sizeof(float));
@@ -512,7 +494,7 @@ void PipelinedStore::ReleaseSnapshot() {
   }
   if (to_free.empty()) return;
   pmem::PersistSiteGuard site("ckpt-gc");
-  for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
+  for (uint64_t offset : to_free) OE_CHECK_OK(slab_->Free(offset));
 }
 
 void PipelinedStore::PruneSnapshotIndexLocked(const DeferredRecord& record) {
@@ -565,7 +547,7 @@ void PipelinedStore::AckCheckpointsLocked(size_t shard) {
     to_free = PublishReadyLocked();
   }
   pmem::PersistSiteGuard site("ckpt-gc");
-  for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
+  for (uint64_t offset : to_free) OE_CHECK_OK(slab_->Free(offset));
 }
 
 void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
@@ -598,7 +580,7 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
   static const std::vector<CacheEntry*> kNoSkip;
 
   for (const EntryId key : keys) {
-    cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+    cache::AtomicTaggedPtr* slot = sh.index.Find(key);
     if (slot == nullptr) continue;  // evaporated (should not happen)
     const uint32_t f = by_freq ? sh.freq->Record(key) : 0;
     const TaggedPtr ptr = slot->load();
@@ -682,9 +664,7 @@ PipelinedStore::CacheEntry* PipelinedStore::LoadToDramLocked(
 
   CacheEntry* raw = entry.get();
   sh.cache_entries[key] = std::move(entry);
-  // The key is present (it was PMem-valued), so this is an in-place slot
-  // update and cannot hit the fixed-capacity ceiling.
-  OE_CHECK(sh.index->Upsert(key, TaggedPtr::FromDram(raw)) != nullptr);
+  sh.index.Upsert(key, TaggedPtr::FromDram(raw));  // was PMem-valued
   sh.lru.PushFront(raw);
   return raw;
 }
@@ -699,7 +679,8 @@ Status PipelinedStore::FlushEntryLocked(size_t shard, CacheEntry* entry) {
   dram_stats_.AddRead(layout_.data_bytes());
   pmem::PersistSiteGuard site("write-back");
   OE_ASSIGN_OR_RETURN(uint64_t offset,
-                      AllocRecord(record.data(), record.size(), shard));
+                      slab_->AllocWrite(record.data(), record.size(),
+                                        static_cast<uint32_t>(shard)));
 
   const uint64_t old_offset = entry->pmem_offset;
   if (old_offset != kNullOffset) {
@@ -720,7 +701,7 @@ Status PipelinedStore::FlushEntryLocked(size_t shard, CacheEntry* entry) {
         DeferRecordLocked(old_record, entry->version);
       }
     }
-    if (free_now) OE_CHECK_OK(FreeRecord(old_offset));
+    if (free_now) OE_CHECK_OK(slab_->Free(old_offset));
   }
   entry->pmem_offset = offset;
   entry->pmem_version = entry->version;
@@ -823,10 +804,7 @@ void PipelinedStore::EvictIfNeededLocked(size_t shard) {
       }
     }
     if (sh.logged_victim == victim->key) sh.logged_victim = kNoVictim;
-    // Demotion is an in-place update of an existing slot, never a growth.
-    OE_CHECK(sh.index->Upsert(victim->key,
-                              TaggedPtr::FromPmem(victim->pmem_offset)) !=
-             nullptr);
+    sh.index.Upsert(victim->key, TaggedPtr::FromPmem(victim->pmem_offset));
     sh.lru.Remove(victim);
     sh.cache_entries.erase(victim->key);
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
@@ -865,7 +843,7 @@ Status PipelinedStore::Push(const EntryId* keys, size_t n, const float* grads,
       shard_keys[k] = keys[order[begin[s] + k]];
     }
     ReadGuard guard(sh.lock);
-    sh.index->FindBatch(shard_keys.data(), count, shard_slots.data());
+    sh.index.FindBatch(shard_keys.data(), count, shard_slots.data());
     for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
       const size_t i = order[j];
       const EntryId key = keys[i];
@@ -925,7 +903,8 @@ Status PipelinedStore::PushPmemRecord(size_t shard,
   if (record_version <= newest_cp) {
     pmem::PersistSiteGuard site("push-cow");
     OE_ASSIGN_OR_RETURN(uint64_t offset,
-                        AllocRecord(record.data(), record.size(), shard));
+                        slab_->AllocWrite(record.data(), record.size(),
+                                          static_cast<uint32_t>(shard)));
     {
       std::lock_guard<std::mutex> lock(ckpt_mutex_);
       DeferRecordLocked(DeferredRecord{EntryLayout::RecordKey(record.data()),
@@ -1027,7 +1006,7 @@ Status PipelinedStore::DrainCheckpoints() {
       to_free = PublishReadyLocked();
     }
     pmem::PersistSiteGuard site("ckpt-gc");
-    for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
+    for (uint64_t offset : to_free) OE_CHECK_OK(slab_->Free(offset));
   }
   for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
     it->lock.ReleaseWrite();
@@ -1069,19 +1048,6 @@ Status PipelinedStore::RecoverFromCrash() {
     limbo_.clear();
     std::fill(shard_acked_.begin(), shard_acked_.end(), cp);
   }
-  // Index engines are rebuilt from scratch: stale kPmemBucket extents from
-  // the pre-crash engines (whose DRAM mirrors are gone) are freed by tag,
-  // the slab allocator re-attaches to the reopened pool, and each shard
-  // gets a fresh engine. The record scan below is the authoritative state.
-  {
-    std::vector<uint64_t> stale_extents;
-    pool_->ForEachAllocated(kKvBucketTag, [&](uint64_t offset, uint64_t size) {
-      (void)size;
-      stale_extents.push_back(offset);
-    });
-    pmem::PersistSiteGuard site("recover-gc");
-    for (uint64_t offset : stale_extents) OE_CHECK_OK(pool_->Free(offset));
-  }
   // Routing-root hygiene: the root references at most one committed
   // ownership blob; any other kRouteTag extent is an orphan left by a
   // crash inside SetOwnedSlots (between the blob write and the root store,
@@ -1110,23 +1076,14 @@ Status PipelinedStore::RecoverFromCrash() {
     }
     route = std::move(owned).ValueOrDie();
   }
-  if (config_.slab_alloc) {
-    pmem::SlabAllocatorOptions slab_options;
-    slab_options.lanes = static_cast<uint32_t>(shards_.size());
-    auto slab = pmem::SlabAllocator::Attach(pool_.get(), slab_options);
-    if (!slab.ok()) {
-      release_all();
-      return slab.status();
-    }
-    slab_ = std::move(slab).ValueOrDie();
+  // The slab allocator re-attaches to the reopened pool and every index
+  // starts empty: the record scan below is the authoritative state.
+  if (Status attached = AttachSlab(); !attached.ok()) {
+    release_all();
+    return attached;
   }
   for (auto& shard : shards_) {
-    auto engine = MakeShardEngine();
-    if (!engine.ok()) {
-      release_all();
-      return engine.status();
-    }
-    shard.index = std::move(engine).ValueOrDie();
+    shard.index = FlatIndex();
     // Unlink LRU nodes before the entries that embed them are freed.
     shard.lru.Clear();
     shard.cache_entries.clear();
@@ -1235,7 +1192,7 @@ Status PipelinedStore::RecoverFromCrash() {
 
   {
     pmem::PersistSiteGuard site("recover-gc");
-    for (uint64_t offset : discard) OE_CHECK_OK(FreeRecord(offset));
+    for (uint64_t offset : discard) OE_CHECK_OK(slab_->Free(offset));
   }
 
   // Partition survivors by shard, then rebuild the per-shard indexes in
@@ -1246,16 +1203,12 @@ Status PipelinedStore::RecoverFromCrash() {
   for (const auto& [key, b] : best) {
     per_shard[ShardOf(key)].emplace_back(key, b.offset);
   }
-  std::atomic<bool> rebuild_full{false};
   auto build = [&](size_t t, size_t stride) {
     for (size_t s = t; s < shards_.size(); s += stride) {
       Shard& sh = shards_[s];
-      sh.index->Reserve(per_shard[s].size());
+      sh.index.Reserve(per_shard[s].size());
       for (const auto& [key, offset] : per_shard[s]) {
-        if (sh.index->Upsert(key, TaggedPtr::FromPmem(offset)) == nullptr) {
-          rebuild_full.store(true, std::memory_order_relaxed);
-          return;
-        }
+        sh.index.Upsert(key, TaggedPtr::FromPmem(offset));
         dram_stats_.AddWrite(sizeof(EntryId) + sizeof(TaggedPtr));
       }
     }
@@ -1273,10 +1226,6 @@ Status PipelinedStore::RecoverFromCrash() {
     for (auto& w : workers) w.join();
   }
   release_all();
-  if (rebuild_full.load(std::memory_order_relaxed)) {
-    return Status::OutOfSpace(
-        "kv engine index full during recovery rebuild");
-  }
   {
     // Training progress is now exactly the recovered checkpoint; without
     // this rewind a rollback deeper than one checkpoint interval would
@@ -1286,119 +1235,6 @@ Status PipelinedStore::RecoverFromCrash() {
     sealed_batch_ = cp;
   }
   return Status::OK();
-}
-
-Status PipelinedStore::ExportCheckpoint(ckpt::CheckpointLog* log) {
-  if (log == nullptr) return Status::InvalidArgument("null backup log");
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
-  const uint64_t cp = published_ckpt_.load(std::memory_order_acquire);
-  if (cp == 0) {
-    release_all();
-    return Status::FailedPrecondition("no published checkpoint to export");
-  }
-  // The backup is the same record set recovery would choose: per key, the
-  // newest record with version <= cp.
-  struct Best {
-    uint64_t offset;
-    uint64_t version;
-  };
-  std::unordered_map<EntryId, Best> best;
-  ForEachEntryRecord([&](uint64_t offset, uint64_t size) {
-    if (size != layout_.record_bytes()) return;
-    const uint8_t* record = pool_->Translate(offset);
-    device_->ChargeRead(EntryLayout::kHeaderBytes);
-    const EntryId key = EntryLayout::RecordKey(record);
-    const uint64_t version = EntryLayout::RecordVersion(record);
-    if (version > cp) return;
-    auto it = best.find(key);
-    if (it == best.end() || version > it->second.version) {
-      best[key] = Best{offset, version};
-    }
-  });
-
-  constexpr size_t kChunkRecords = 4096;
-  std::vector<uint8_t> buffer(kChunkRecords * layout_.record_bytes());
-  size_t in_chunk = 0;
-  Status status = Status::OK();
-  for (const auto& [key, b] : best) {
-    device_->Read(b.offset, buffer.data() + in_chunk * layout_.record_bytes(),
-                  layout_.record_bytes());
-    if (++in_chunk == kChunkRecords) {
-      status = log->AppendChunk(cp, buffer.data(), in_chunk);
-      if (!status.ok()) break;
-      in_chunk = 0;
-    }
-  }
-  if (status.ok() && in_chunk > 0) {
-    status = log->AppendChunk(cp, buffer.data(), in_chunk);
-  }
-  release_all();
-  return status;
-}
-
-Status PipelinedStore::ImportCheckpoint(const ckpt::CheckpointLog& log) {
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
-  for (const auto& shard : shards_) {
-    if (shard.index->Size() != 0) {
-      release_all();
-      return Status::FailedPrecondition(
-          "import requires a freshly created (empty) store");
-    }
-  }
-  const uint64_t cp = log.LatestBatch();
-  if (cp == 0) {
-    release_all();
-    return Status::FailedPrecondition("backup holds no checkpoint");
-  }
-
-  std::vector<uint8_t> record(layout_.record_bytes());
-  Status status = Status::OK();
-  Status replay = log.Replay(
-      cp, [&](EntryId key, uint64_t version, const float* data) {
-        if (!status.ok()) return;
-        EntryLayout::SetRecordHeader(record.data(), key, version);
-        std::memcpy(EntryLayout::RecordData(record.data()), data,
-                    layout_.data_bytes());
-        const size_t s = ShardOf(key);
-        pmem::PersistSiteGuard site("import-entry");
-        auto r = AllocRecord(record.data(), record.size(), s);
-        if (!r.ok()) {
-          status = r.status();
-          return;
-        }
-        const uint64_t offset = std::move(r).ValueOrDie();
-        KvEngine& index = *shards_[s].index;
-        cache::AtomicTaggedPtr* slot = index.Find(key);
-        if (slot != nullptr) {
-          // Later chunks override earlier ones.
-          OE_CHECK_OK(FreeRecord(slot->load().pmem_offset()));
-          slot->store(TaggedPtr::FromPmem(offset));
-        } else if (index.Upsert(key, TaggedPtr::FromPmem(offset)) ==
-                   nullptr) {
-          OE_CHECK_OK(FreeRecord(offset));
-          status = Status::OutOfSpace("kv engine index full");
-        }
-      });
-  if (status.ok()) status = replay;
-  if (status.ok()) {
-    pmem::PersistSiteGuard site("import-publish");
-    pool_->RootSet(kRootCheckpointId, cp);
-    published_ckpt_.store(cp, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(ckpt_mutex_);
-    std::fill(shard_acked_.begin(), shard_acked_.end(), cp);
-  }
-  release_all();
-  return status;
 }
 
 Status PipelinedStore::SetOwnedSlots(uint64_t epoch,
@@ -1501,7 +1337,7 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
   };
   std::vector<Item> items;
   for (auto& shard : shards_) {
-    shard.index->ForEach([&](EntryId key, TaggedPtr ptr) {
+    shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
       if (!slots[SlotOfKey(key)] || exclude.count(key) != 0) return;
       Item item{key, nullptr, kNullOffset, 0};
       if (ptr.is_dram()) {
@@ -1626,7 +1462,7 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
         if (!status.ok()) return;
         const size_t s = ShardOf(key);
         if (incoming.find(key) == incoming.end() &&
-            shards_[s].index->Find(key) != nullptr) {
+            shards_[s].index.Find(key) != nullptr) {
           // The key already lives here (a hot-replica copy, or an image
           // re-delivered after a partial import): the local copy wins.
           return;
@@ -1635,7 +1471,8 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
         std::memcpy(EntryLayout::RecordData(record.data()), data,
                     layout_.data_bytes());
         pmem::PersistSiteGuard site("migrate-entry");
-        auto r = AllocRecord(record.data(), record.size(), s);
+        auto r = slab_->AllocWrite(record.data(), record.size(),
+                                   static_cast<uint32_t>(s));
         if (!r.ok()) {
           status = r.status();
           return;
@@ -1655,12 +1492,8 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
       for (size_t i = 1; i < records.size(); ++i) {
         if (records[i].version > records[newest].version) newest = i;
       }
-      KvEngine& index = *shards_[ShardOf(key)].index;
-      if (index.Upsert(key, TaggedPtr::FromPmem(records[newest].offset)) ==
-          nullptr) {
-        status = Status::OutOfSpace("kv engine index full during import");
-        break;
-      }
+      shards_[ShardOf(key)].index.Upsert(
+          key, TaggedPtr::FromPmem(records[newest].offset));
       {
         std::lock_guard<std::mutex> lock(ckpt_mutex_);
         for (size_t i = 0; i < records.size(); ++i) {
@@ -1685,7 +1518,7 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
     }
     pmem::PersistSiteGuard site("migrate-gc");
     for (uint64_t offset : leaked) {
-      Status freed = FreeRecord(offset);
+      Status freed = slab_->Free(offset);
       // A record allocated after a simulated crash fault fired never got a
       // committed header (device writes are suppressed); recovery rebuilds
       // the allocator state, so the failed free is moot.
@@ -1717,7 +1550,7 @@ void PipelinedStore::DropKeysLocked(
   const uint64_t published = published_ckpt_.load(std::memory_order_acquire);
   for (const EntryId key : victims) {
     Shard& sh = shards_[ShardOf(key)];
-    cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+    cache::AtomicTaggedPtr* slot = sh.index.Find(key);
     if (slot == nullptr) continue;
     const TaggedPtr ptr = slot->load();
     uint64_t record_offset = kNullOffset;
@@ -1747,7 +1580,7 @@ void PipelinedStore::DropKeysLocked(
           EntryLayout::RecordVersion(pool_->Translate(record_offset));
       device_->ChargeRead(EntryLayout::kHeaderBytes);
     }
-    OE_CHECK(sh.index->Erase(key));
+    OE_CHECK(sh.index.Erase(key));
     if (record_offset == kNullOffset) continue;
     if (record_version <= published && pinned) {
       // Still the newest <=checkpoint record and a snapshot reader is in
@@ -1803,7 +1636,7 @@ Status PipelinedStore::RemoveKeys(const std::vector<EntryId>& keys) {
   DropKeysLocked(victims, &to_free);
   {
     pmem::PersistSiteGuard site("migrate-gc");
-    for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
+    for (uint64_t offset : to_free) OE_CHECK_OK(slab_->Free(offset));
   }
   release_all();
   return Status::OK();
@@ -1823,7 +1656,7 @@ Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
   };
   std::unordered_set<EntryId> victims;
   for (auto& shard : shards_) {
-    shard.index->ForEach([&](EntryId key, TaggedPtr ptr) {
+    shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
       (void)ptr;
       if (slots[SlotOfKey(key)] && keep.count(key) == 0) victims.insert(key);
     });
@@ -1832,7 +1665,7 @@ Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
   DropKeysLocked(victims, &to_free);
   {
     pmem::PersistSiteGuard site("migrate-gc");
-    for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
+    for (uint64_t offset : to_free) OE_CHECK_OK(slab_->Free(offset));
   }
   release_all();
   return Status::OK();
@@ -1842,7 +1675,7 @@ size_t PipelinedStore::EntryCount() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     ReadGuard guard(shard.lock);
-    total += shard.index->Size();
+    total += shard.index.Size();
   }
   return total;
 }
@@ -1868,7 +1701,7 @@ size_t PipelinedStore::PinnedEntries() const {
 bool PipelinedStore::IsDramCached(EntryId key) const {
   const Shard& sh = shards_[ShardOf(key)];
   ReadGuard guard(sh.lock);
-  cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+  const cache::AtomicTaggedPtr* slot = sh.index.Find(key);
   return slot != nullptr && slot->load().is_dram();
 }
 
@@ -1905,7 +1738,7 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
     }
     fallback.clear();
     ReadGuard guard(sh.lock);
-    sh.index->FindBatch(shard_keys.data(), count, shard_slots.data());
+    sh.index.FindBatch(shard_keys.data(), count, shard_slots.data());
     for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
       const size_t i = order[j];
       cache::AtomicTaggedPtr* slot = shard_slots[j - begin[s]];
@@ -1990,7 +1823,7 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
 Result<std::vector<float>> PipelinedStore::Peek(EntryId key) const {
   const Shard& sh = shards_[ShardOf(key)];
   ReadGuard guard(sh.lock);
-  cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+  const cache::AtomicTaggedPtr* slot = sh.index.Find(key);
   if (slot == nullptr) return Status::NotFound("no such key");
   std::vector<float> out(config_.dim);
   const TaggedPtr ptr = slot->load();

@@ -18,12 +18,12 @@ namespace oe::storage {
 /// DRAM-PS in the paper.
 ///
 /// This engine is a *deliberately unimproved* baseline and must stay that
-/// way: it exists so the paper's Table III gap (and our KvEngine race in
-/// EXPERIMENTS.md) is measured against the design the paper criticizes —
-/// chained buckets, a global mutex, per-record pool allocations, no
-/// fingerprints, no DRAM mirror. The modern replacements live behind the
-/// pipelined store's KvEngine layer (kv_pethash.h); do not backport them
-/// here. The one tunable is config.pmem_hash_buckets (chain length is the
+/// way: it exists so the paper's Table III gap is measured against the
+/// design the paper criticizes — chained buckets, a global mutex,
+/// per-record pool allocations, no fingerprints, no DRAM mirror. The
+/// pipelined store's flat DRAM index and slab allocator (kv_flat.h,
+/// pmem/slab_allocator.h) are the modern replacements; do not backport
+/// them here. The one tunable is config.pmem_hash_buckets (chain length is the
 /// dominant cost — benchmarks sweep it down to 1 bucket to show the
 /// worst case).
 ///

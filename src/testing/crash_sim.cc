@@ -193,8 +193,7 @@ std::string CrashSim::Verify(PipelinedStore* store) const {
   };
   std::unordered_map<EntryId, Rec> newest;
   std::string violation;
-  // Scans through the store's allocator-independent walk (slab bitmaps or
-  // pool tag headers, whichever backs entry records in this config).
+  // Scans the slab bitmaps, independent of the DRAM index.
   store->ForEachEntryRecord([&](uint64_t offset, uint64_t size) {
         if (!violation.empty()) return;
         if (size != layout_.record_bytes()) {

@@ -42,6 +42,29 @@ void TrainBatch(PipelinedStore* store, uint64_t batch,
       store->Push(keys.data(), keys.size(), grads.data(), batch).ok());
 }
 
+// Backup is the migration export of every routing slot: per key, the
+// newest record at or below the published checkpoint, plus the live head
+// when training has moved past it.
+Status Backup(PipelinedStore* store, CheckpointLog* remote) {
+  return store->ExportRange(std::vector<bool>(kNumRoutingSlots, true), {},
+                            remote);
+}
+
+// Restore is the migration import into a fresh store on `device`, then the
+// store's normal reopen: its recovery scan drops every imported head newer
+// than the backup's checkpoint, so the restored model is exactly the
+// published checkpoint.
+Result<std::unique_ptr<PipelinedStore>> Restore(const CheckpointLog& remote,
+                                                PmemDevice* device) {
+  {
+    OE_ASSIGN_OR_RETURN(auto fresh,
+                        PipelinedStore::Create(SmallConfig(), device));
+    std::vector<EntryId> imported;
+    OE_RETURN_IF_ERROR(fresh->ImportRange(remote, &imported));
+  }
+  return PipelinedStore::Open(SmallConfig(), device);
+}
+
 TEST(RemoteBackupTest, ExportRequiresPublishedCheckpoint) {
   auto device = MakeDevice();
   auto store = PipelinedStore::Create(SmallConfig(), device.get())
@@ -50,8 +73,11 @@ TEST(RemoteBackupTest, ExportRequiresPublishedCheckpoint) {
   EntryLayout layout(kDim, 0);
   auto remote =
       CheckpointLog::Create(remote_device.get(), layout).ValueOrDie();
-  EXPECT_FALSE(store->ExportCheckpoint(remote.get()).ok());
-  EXPECT_FALSE(store->ExportCheckpoint(nullptr).ok());
+  EXPECT_FALSE(Backup(store.get(), nullptr).ok());
+  std::vector<EntryId> keys = {1, 2};
+  TrainBatch(store.get(), 1, keys, 0.1f);
+  EXPECT_EQ(Backup(store.get(), remote.get()).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(RemoteBackupTest, TotalLossRestoreFromRemote) {
@@ -72,25 +98,20 @@ TEST(RemoteBackupTest, TotalLossRestoreFromRemote) {
     ASSERT_TRUE(store->RequestCheckpoint(2).ok());
     ASSERT_TRUE(store->DrainCheckpoints().ok());
     // Periodic remote backup of the published checkpoint.
-    ASSERT_TRUE(store->ExportCheckpoint(remote.get()).ok());
+    ASSERT_TRUE(Backup(store.get(), remote.get()).ok());
     for (EntryId key : keys) expected[key] = store->Peek(key).ValueOrDie();
     // Post-backup updates that the remote tier does not know about.
     TrainBatch(store.get(), 3, keys, 0.9f);
     // The entire PS node (device included) is now lost.
   }
 
-  // Replacement node: fresh device, fresh store, import from remote.
+  // Replacement node: fresh device, restored from remote.
   auto new_device = MakeDevice();
-  auto store = PipelinedStore::Create(SmallConfig(), new_device.get())
-                   .ValueOrDie();
-  ASSERT_TRUE(store->ImportCheckpoint(*remote).ok());
+  auto store = Restore(*remote, new_device.get()).ValueOrDie();
   EXPECT_EQ(store->PublishedCheckpoint(), 2u);
   EXPECT_EQ(store->EntryCount(), keys.size());
   for (EntryId key : keys) {
-    auto got = store->Peek(key).ValueOrDie();
-    for (uint32_t d = 0; d < kDim; ++d) {
-      EXPECT_NEAR(got[d], expected[key][d], 1e-6) << key;
-    }
+    EXPECT_EQ(store->Peek(key).ValueOrDie(), expected[key]) << key;
   }
 
   // The restored node trains and checkpoints normally.
@@ -99,30 +120,17 @@ TEST(RemoteBackupTest, TotalLossRestoreFromRemote) {
   ASSERT_TRUE(store->DrainCheckpoints().ok());
   EXPECT_EQ(store->PublishedCheckpoint(), 3u);
 
-  // And survives a local crash after the import.
+  // And survives a local crash after the restore.
   new_device->SimulateCrash();
   ASSERT_TRUE(store->RecoverFromCrash().ok());
+  EXPECT_EQ(store->PublishedCheckpoint(), 3u);
   EXPECT_EQ(store->EntryCount(), keys.size());
 }
 
-TEST(RemoteBackupTest, ImportRejectsNonEmptyStore) {
-  EntryLayout layout(kDim, 0);
-  auto remote_device = MakeDevice(DeviceKind::kSsd);
-  auto remote =
-      CheckpointLog::Create(remote_device.get(), layout).ValueOrDie();
-  std::vector<uint8_t> record(layout.record_bytes(), 0);
-  EntryLayout::SetRecordHeader(record.data(), 7, 1);
-  ASSERT_TRUE(remote->AppendChunk(1, record.data(), 1).ok());
-
-  auto device = MakeDevice();
-  auto store = PipelinedStore::Create(SmallConfig(), device.get())
-                   .ValueOrDie();
-  std::vector<EntryId> keys = {1};
-  TrainBatch(store.get(), 1, keys, 0.1f);
-  EXPECT_FALSE(store->ImportCheckpoint(*remote).ok());
-}
-
-TEST(RemoteBackupTest, ExportReflectsCheckpointNotLiveState) {
+// A backup taken while training has moved past the checkpoint still
+// restores exactly the checkpoint: pushes after it are absent, and a key
+// first touched after it does not exist.
+TEST(RemoteBackupTest, RestoreReflectsCheckpointNotLiveState) {
   EntryLayout layout(kDim, 0);
   auto remote_device = MakeDevice(DeviceKind::kPmem);
   auto remote =
@@ -134,15 +142,21 @@ TEST(RemoteBackupTest, ExportReflectsCheckpointNotLiveState) {
   TrainBatch(store.get(), 1, keys, 0.1f);
   ASSERT_TRUE(store->RequestCheckpoint(1).ok());
   ASSERT_TRUE(store->DrainCheckpoints().ok());
-  auto at_ckpt = store->Peek(10).ValueOrDie();
-  TrainBatch(store.get(), 2, keys, 0.5f);  // newer than the checkpoint
-  ASSERT_TRUE(store->ExportCheckpoint(remote.get()).ok());
+  std::map<EntryId, std::vector<float>> at_ckpt;
+  for (EntryId key : keys) at_ckpt[key] = store->Peek(key).ValueOrDie();
+  // Newer than the checkpoint: updates to 10 and 11, and a new key 12.
+  TrainBatch(store.get(), 2, {10, 11, 12}, 0.5f);
+  ASSERT_NE(store->Peek(10).ValueOrDie(), at_ckpt[10]);
+  ASSERT_TRUE(Backup(store.get(), remote.get()).ok());
 
   auto new_device = MakeDevice();
-  auto restored = PipelinedStore::Create(SmallConfig(), new_device.get())
-                      .ValueOrDie();
-  ASSERT_TRUE(restored->ImportCheckpoint(*remote).ok());
-  EXPECT_EQ(restored->Peek(10).ValueOrDie(), at_ckpt);
+  auto restored = Restore(*remote, new_device.get()).ValueOrDie();
+  EXPECT_EQ(restored->PublishedCheckpoint(), 1u);
+  EXPECT_EQ(restored->EntryCount(), keys.size());
+  for (EntryId key : keys) {
+    EXPECT_EQ(restored->Peek(key).ValueOrDie(), at_ckpt[key]) << key;
+  }
+  EXPECT_FALSE(restored->Peek(12).ok());
 }
 
 class ParallelRecoveryTest : public ::testing::TestWithParam<int> {};

@@ -45,6 +45,28 @@ TEST(PipelinedRestartTest, OpenRejectsUnformattedDevice) {
   EXPECT_FALSE(PipelinedStore::Open(SmallConfig(), device.get()).ok());
 }
 
+TEST(PipelinedRestartTest, OpenRejectsRetiredRecordLayouts) {
+  for (uint64_t tag : {PipelinedStore::kRetiredEntryTag,
+                       PipelinedStore::kRetiredBucketTag}) {
+    auto device = MakeDevice({.size_bytes = 8 << 20});
+    {
+      auto store =
+          PipelinedStore::Create(SmallConfig(), device.get()).ValueOrDie();
+      TrainBatch(store.get(), 1, {1, 2, 3}, 0.25f);
+      ASSERT_TRUE(store->RequestCheckpoint(1).ok());
+      ASSERT_TRUE(store->DrainCheckpoints().ok());
+    }
+    {
+      auto pool = pmem::PmemPool::Open(device.get()).ValueOrDie();
+      const uint64_t payload = 0;
+      ASSERT_TRUE(pool->AllocWrite(&payload, sizeof(payload), tag).ok());
+    }
+    auto reopened = PipelinedStore::Open(SmallConfig(), device.get());
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
 TEST(PipelinedRestartTest, FileBackedRestartRestoresCheckpoint) {
   const std::string path = ::testing::TempDir() + "/oe_restart_test.img";
   std::filesystem::remove(path);
