@@ -1,5 +1,5 @@
-// A/B bench for the frequency-aware cache policy and statistics-driven
-// hot-key placement.
+// A/B bench for the frequency-aware cache policy, plus the per-node pull
+// load that hashed placement gives a hot head.
 //
 // Section 1 drives the identical Table II skewed batch trace through two
 // PipelinedStores that differ only in StoreConfig::cache_policy and
@@ -8,8 +8,7 @@
 // the more-skew and original presets (the tail preset is reported too).
 //
 // Section 2 measures per-node pull-load imbalance on a 4-node cluster
-// under a single-hot-head pull stream, hashed placement vs replicating
-// the hot head across all nodes (reads round-robin the replicas).
+// under a single-hot-head pull stream with hashed (slot-table) placement.
 //
 // With --json the record carries the full metrics registry, so the
 // store.cache_hit_rate_bp / store.cache_pinned_entries gauges and the
@@ -122,18 +121,15 @@ RunStats RunPolicy(const BenchParams& params, SkewPreset preset,
 /// appears in every batch (as Table II's hottest ranks do in every
 /// worker's batch) plus a rotating cold slice. Five keys over four nodes
 /// cannot hash evenly, so the home node of the doubled-up keys absorbs
-/// disproportionate pull load; replicating the head across all nodes with
-/// round-robin reads flattens it. Returns max/mean per-node pull load
+/// disproportionate pull load. Returns max/mean per-node pull load
 /// (1.0 = perfectly balanced).
-double RunImbalance(const BenchParams& params, uint64_t hot_replicate_keys) {
+double RunImbalance(const BenchParams& params) {
   constexpr uint64_t kHotHead = 5;
   constexpr size_t kColdPerBatch = 8;
   ClusterOptions options;
   options.num_nodes = 4;
   options.store.dim = 16;
   options.store.cache_bytes = params.cache_bytes;
-  options.hot_replicate_keys = hot_replicate_keys;
-  options.hot_replicas = 4;
   auto cluster = PsCluster::Create(options).ValueOrDie();
   auto& client = cluster->client();
 
@@ -171,8 +167,8 @@ int main(int argc, char** argv) {
   report.AddConfig("cache_bytes", static_cast<double>(params.cache_bytes));
 
   oe::bench::PrintHeader(
-      "Freq-aware admission vs plain LRU (same capacity), + hot-key "
-      "placement",
+      "Freq-aware admission vs plain LRU (same capacity), + hashed "
+      "placement load",
       "Table II skew: the hot head dominates; admission filtering must "
       "raise hit rate at more-skew/original");
 
@@ -205,12 +201,10 @@ int main(int argc, char** argv) {
                      static_cast<double>(freq.admission_rejects));
   }
 
-  const double hashed = RunImbalance(params, 0);
-  const double placed = RunImbalance(params, /*hot_replicate_keys=*/5);
+  const double hashed = RunImbalance(params);
   std::printf("  load imbalance (max/mean pull keys, 4 nodes): hashed "
-              "%.3fx -> hot-head-replicated %.3fx\n",
-              hashed, placed);
+              "%.3fx\n",
+              hashed);
   report.AddMetric("imbalance.hashed", hashed);
-  report.AddMetric("imbalance.placed", placed);
   return 0;
 }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,16 @@ class BenchReport {
     if (!trace_path_.empty()) {
       obs::TraceRecorder::Default().set_enabled(true);
     }
+    // Host facts, so a record says what produced it.
+    AddConfig("host.nproc",
+              static_cast<double>(std::thread::hardware_concurrency()));
+    AddConfig("compiler", std::string(__VERSION__));
+#ifdef NDEBUG
+    AddConfig("build_type", std::string("release"));
+#else
+    AddConfig("build_type", std::string("debug"));
+#endif
+    AddConfig("fast_mode", FastMode() ? 1.0 : 0.0);
   }
 
   ~BenchReport() { Finish(); }

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "net/message.h"
-#include "ps/placement.h"
 #include "ps/ps_service.h"
 
 namespace oe::ps {
@@ -86,35 +85,32 @@ void PsClient::BackoffBeforeRetry(int attempt) const {
   std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
 }
 
+PsClient::OwnerPartition PsClient::PartitionByOwner(
+    const Router& router, const storage::EntryId* keys, const size_t* subset,
+    size_t n) {
+  OwnerPartition part;
+  part.positions.resize(router.num_nodes());
+  for (size_t j = 0; j < n; ++j) {
+    const size_t i = subset != nullptr ? subset[j] : j;
+    part.positions[router.NodeFor(keys[i])].push_back(i);
+  }
+  for (uint32_t node = 0; node < router.num_nodes(); ++node) {
+    if (!part.positions[node].empty()) part.nodes.push_back(node);
+  }
+  return part;
+}
+
 Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
                       float* out) {
   if (n == 0) return Status::OK();
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
   for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
     if (attempt > 0) {
       BackoffBeforeRetry(attempt - 1);
       RefreshRoute();
     }
     const Router router = Route();
-    // Partition key positions by owning node; hot keys round-robin across
-    // their replica set (replicas are kept bit-identical; the set is
-    // epoch-pinned, so migrations never invalidate it).
-    std::vector<std::vector<size_t>> positions(router.num_nodes());
-    for (size_t i = 0; i < n; ++i) {
-      if (placed && placement_->is_hot(keys[i])) {
-        const auto r = static_cast<uint32_t>(
-            pull_rr_.fetch_add(1, std::memory_order_relaxed) %
-            placement_->replicas());
-        positions[placement_->ReplicaNode(keys[i], r)].push_back(i);
-      } else {
-        positions[router.NodeFor(keys[i])].push_back(i);
-      }
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!positions[node].empty()) nodes.push_back(node);
-    }
-    if (nodes.empty()) return Status::OK();
+    const OwnerPartition part = PartitionByOwner(router, keys, nullptr, n);
+    const auto& nodes = part.nodes;
 
     // One request per owning node, issued concurrently (Section IV: the
     // worker reaches every PS shard in one overlapped round trip).
@@ -122,7 +118,7 @@ Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
     std::vector<Buffer> responses(nodes.size());
     std::vector<RpcCall> calls(nodes.size());
     for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
+      const auto& pos = part.positions[nodes[c]];
       Writer writer(&requests[c]);
       PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read
       writer.PutU64(batch);
@@ -140,7 +136,7 @@ Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
     // Reassemble in key order. Pulls are idempotent, so a retried round
     // simply overwrites any positions already filled.
     for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
+      const auto& pos = part.positions[nodes[c]];
       Reader reader(responses[c]);
       std::vector<float> weights;
       OE_RETURN_IF_ERROR(reader.GetFloatSpan(&weights));
@@ -161,41 +157,20 @@ Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
 Status PsClient::Push(const storage::EntryId* keys, size_t n,
                       const float* grads, uint64_t batch) {
   if (n == 0) return Status::OK();
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
-
-  // Unacknowledged work, tracked per (position, destination) so a partial
-  // fan-out failure re-sends exactly the rejected nodes' keys. A hot key's
-  // gradient goes to every replica (fixed, epoch-pinned destinations); a
-  // plain key's destination is recomputed from the route snapshot each
-  // round.
-  std::vector<std::pair<size_t, uint32_t>> pending_hot;  // (pos, node)
-  std::vector<size_t> pending;                           // routed each round
-  for (size_t i = 0; i < n; ++i) {
-    if (placed && placement_->is_hot(keys[i])) {
-      for (uint32_t r = 0; r < placement_->replicas(); ++r) {
-        pending_hot.emplace_back(i, placement_->ReplicaNode(keys[i], r));
-      }
-    } else {
-      pending.push_back(i);
-    }
-  }
-
+  // Positions still unacknowledged after a partial fan-out failure; empty
+  // until the first re-route (the first round sends every position).
+  std::vector<size_t> pending;
   for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
     if (attempt > 0) {
       BackoffBeforeRetry(attempt - 1);
       RefreshRoute();
     }
     const Router router = Route();
-    std::vector<std::vector<size_t>> positions(router.num_nodes());
-    for (const auto& [pos, node] : pending_hot) positions[node].push_back(pos);
-    for (size_t pos : pending) {
-      positions[router.NodeFor(keys[pos])].push_back(pos);
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!positions[node].empty()) nodes.push_back(node);
-    }
-    if (nodes.empty()) return Status::OK();
+    const OwnerPartition part =
+        attempt == 0 ? PartitionByOwner(router, keys, nullptr, n)
+                     : PartitionByOwner(router, keys, pending.data(),
+                                        pending.size());
+    const auto& nodes = part.nodes;
 
     std::vector<Buffer> requests(nodes.size());
     std::vector<Buffer> responses(nodes.size());
@@ -210,7 +185,7 @@ Status PsClient::Push(const storage::EntryId* keys, size_t n,
     // the re-routed ones.
     const uint64_t seq = NextSeq();
     for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
+      const auto& pos = part.positions[nodes[c]];
       Writer writer(&requests[c]);
       PutHeader(&writer, client_id_, seq, router.epoch());
       writer.PutU64(batch);
@@ -227,29 +202,14 @@ Status PsClient::Push(const storage::EntryId* keys, size_t n,
     if (fan_out.ok()) return Status::OK();
     OE_RETURN_IF_ERROR(FirstHardError(calls));
 
-    // Drop acknowledged destinations from the pending sets; only nodes
-    // that rejected with kWrongOwner (applied nothing) are re-routed.
-    std::vector<uint32_t> rejected;
-    for (const RpcCall& call : calls) {
-      if (call.status.IsWrongOwner()) rejected.push_back(call.node);
+    // Only nodes that rejected with kWrongOwner (applied nothing) are
+    // re-routed; acknowledged nodes are not re-sent.
+    pending.clear();
+    for (size_t c = 0; c < nodes.size(); ++c) {
+      if (!calls[c].status.IsWrongOwner()) continue;
+      const auto& pos = part.positions[nodes[c]];
+      pending.insert(pending.end(), pos.begin(), pos.end());
     }
-    auto was_rejected = [&rejected](uint32_t node) {
-      return std::find(rejected.begin(), rejected.end(), node) !=
-             rejected.end();
-    };
-    pending_hot.erase(
-        std::remove_if(pending_hot.begin(), pending_hot.end(),
-                       [&](const std::pair<size_t, uint32_t>& item) {
-                         return !was_rejected(item.second);
-                       }),
-        pending_hot.end());
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&](size_t pos) {
-                                   return !was_rejected(
-                                       router.NodeFor(keys[pos]));
-                                 }),
-                  pending.end());
-    if (pending_hot.empty() && pending.empty()) return Status::OK();
   }
   return Status::Unavailable("push: routing did not converge (kWrongOwner "
                              "persisted past the retry budget)");
@@ -259,7 +219,6 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
                           uint8_t* found, uint64_t* snapshot_version) {
   if (snapshot_version != nullptr) *snapshot_version = 0;
   if (n == 0) return Status::OK();
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
 
   // Each node serves its own last published checkpoint; a response set is a
   // cluster-consistent snapshot only when they all name the same version.
@@ -275,29 +234,14 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
       RefreshRoute();
     }
     const Router router = Route();
-    // Ownership routing only: replica nodes publish checkpoints on their
-    // own maintenance cadence, so round-robining hot keys across them
-    // would make the per-node version agreement below spuriously fail.
-    // Hot keys pin to their primary replica (their slot may have migrated,
-    // but the keys themselves are epoch-pinned to the replica set).
-    std::vector<std::vector<size_t>> positions(router.num_nodes());
-    for (size_t i = 0; i < n; ++i) {
-      if (placed && placement_->is_hot(keys[i])) {
-        positions[placement_->ReplicaNode(keys[i], 0)].push_back(i);
-      } else {
-        positions[router.NodeFor(keys[i])].push_back(i);
-      }
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!positions[node].empty()) nodes.push_back(node);
-    }
+    const OwnerPartition part = PartitionByOwner(router, keys, nullptr, n);
+    const auto& nodes = part.nodes;
 
     std::vector<Buffer> requests(nodes.size());
     std::vector<Buffer> responses(nodes.size());
     std::vector<RpcCall> calls(nodes.size());
     for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
+      const auto& pos = part.positions[nodes[c]];
       Writer writer(&requests[c]);
       PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read
       writer.PutU32(static_cast<uint32_t>(pos.size()));
@@ -314,7 +258,7 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
     bool agree = true;
     uint64_t cluster_cp = 0;
     for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
+      const auto& pos = part.positions[nodes[c]];
       Reader reader(responses[c]);
       uint64_t node_cp = 0;
       OE_RETURN_IF_ERROR(reader.GetU64(&node_cp));
@@ -346,54 +290,8 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
       "PS nodes did not converge on a published checkpoint");
 }
 
-Status PsClient::WarmReplicas(uint64_t batch) {
-  if (placement_ == nullptr || placement_->replicas() <= 1) {
-    return Status::OK();
-  }
-  const auto& hot = placement_->hot_keys();
-  if (hot.empty()) return Status::OK();
-  const Router router = Route();
-  // One pull round per replica rank: every replica node materializes its
-  // copy via the normal first-touch path. Responses are validated for shape
-  // and discarded — warming is purely about creating the entries.
-  for (uint32_t r = 0; r < placement_->replicas(); ++r) {
-    std::vector<std::vector<storage::EntryId>> by_node(router.num_nodes());
-    for (const storage::EntryId key : hot) {
-      by_node[placement_->ReplicaNode(key, r)].push_back(key);
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!by_node[node].empty()) nodes.push_back(node);
-    }
-    if (nodes.empty()) continue;
-    std::vector<Buffer> requests(nodes.size());
-    std::vector<Buffer> responses(nodes.size());
-    std::vector<RpcCall> calls(nodes.size());
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& node_keys = by_node[nodes[c]];
-      Writer writer(&requests[c]);
-      PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read
-      writer.PutU64(batch);
-      writer.PutU32(static_cast<uint32_t>(node_keys.size()));
-      for (const storage::EntryId key : node_keys) {
-        writer.PutRaw(&key, sizeof(key));
-      }
-      calls[c] = {nodes[c], static_cast<uint32_t>(PsMethod::kPull),
-                  &requests[c], &responses[c], Status::OK()};
-    }
-    OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      std::vector<float> weights;
-      OE_RETURN_IF_ERROR(Reader(responses[c]).GetFloatSpan(&weights));
-      if (weights.size() != by_node[nodes[c]].size() * dim_) {
-        return Status::Corruption("warm-replica response size mismatch");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status PsClient::Broadcast(uint32_t method, const Buffer& request) {
+Result<std::vector<Buffer>> PsClient::Broadcast(uint32_t method,
+                                                const Buffer& request) {
   const std::shared_ptr<const SlotTable> table = BroadcastTable();
   const auto& active = table->active;
   std::vector<Buffer> responses(active.size());
@@ -401,7 +299,8 @@ Status PsClient::Broadcast(uint32_t method, const Buffer& request) {
   for (size_t i = 0; i < active.size(); ++i) {
     calls[i] = {active[i], method, &request, &responses[i], Status::OK()};
   }
-  return transport_->ParallelCall(&calls);
+  OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
+  return responses;
 }
 
 Status PsClient::FinishPullPhase(uint64_t batch) {
@@ -409,7 +308,8 @@ Status PsClient::FinishPullPhase(uint64_t batch) {
   Writer writer(&request);
   PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
   writer.PutU64(batch);
-  return Broadcast(static_cast<uint32_t>(PsMethod::kFinishPull), request);
+  return Broadcast(static_cast<uint32_t>(PsMethod::kFinishPull), request)
+      .status();
 }
 
 Status PsClient::WaitMaintenance(uint64_t batch) {
@@ -418,7 +318,8 @@ Status PsClient::WaitMaintenance(uint64_t batch) {
   PutHeader(&writer, client_id_, /*seq=*/0, Route().epoch());  // pure wait
   writer.PutU64(batch);
   return Broadcast(static_cast<uint32_t>(PsMethod::kWaitMaintenance),
-                   request);
+                   request)
+      .status();
 }
 
 Status PsClient::RequestCheckpoint(uint64_t batch) {
@@ -427,7 +328,8 @@ Status PsClient::RequestCheckpoint(uint64_t batch) {
   PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
   writer.PutU64(batch);
   return Broadcast(static_cast<uint32_t>(PsMethod::kRequestCheckpoint),
-                   request);
+                   request)
+      .status();
 }
 
 Status PsClient::DrainCheckpoints() {
@@ -435,35 +337,25 @@ Status PsClient::DrainCheckpoints() {
   Writer writer(&request);
   PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
   return Broadcast(static_cast<uint32_t>(PsMethod::kDrainCheckpoints),
-                   request);
+                   request)
+      .status();
 }
 
 Status PsClient::Recover() {
   Buffer request;
   Writer writer(&request);
   PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
-  OE_RETURN_IF_ERROR(
-      Broadcast(static_cast<uint32_t>(PsMethod::kRecover), request));
-  // Recovery rolled every store back to its durable checkpoint; hot-key
-  // replica copies that were never flushed are gone, so re-materialize
-  // them (deterministic first-touch keeps replicas bit-identical). No-op
-  // without a placement table.
-  return WarmReplicas(0);
+  return Broadcast(static_cast<uint32_t>(PsMethod::kRecover), request)
+      .status();
 }
 
 Result<uint64_t> PsClient::TotalEntries() {
   Buffer request;
   Writer writer(&request);
   PutHeader(&writer, client_id_, /*seq=*/0, Route().epoch());  // read
-  const std::shared_ptr<const SlotTable> table = BroadcastTable();
-  const auto& active = table->active;
-  std::vector<Buffer> responses(active.size());
-  std::vector<RpcCall> calls(active.size());
-  for (size_t i = 0; i < active.size(); ++i) {
-    calls[i] = {active[i], static_cast<uint32_t>(PsMethod::kEntryCount),
-                &request, &responses[i], Status::OK()};
-  }
-  OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
+  OE_ASSIGN_OR_RETURN(
+      const auto responses,
+      Broadcast(static_cast<uint32_t>(PsMethod::kEntryCount), request));
   uint64_t total = 0;
   for (const Buffer& response : responses) {
     uint64_t count = 0;
@@ -477,16 +369,10 @@ Result<uint64_t> PsClient::ClusterCheckpoint() {
   Buffer request;
   Writer writer(&request);
   PutHeader(&writer, client_id_, /*seq=*/0, Route().epoch());  // read
-  const std::shared_ptr<const SlotTable> table = BroadcastTable();
-  const auto& active = table->active;
-  std::vector<Buffer> responses(active.size());
-  std::vector<RpcCall> calls(active.size());
-  for (size_t i = 0; i < active.size(); ++i) {
-    calls[i] = {active[i],
-                static_cast<uint32_t>(PsMethod::kPublishedCheckpoint),
-                &request, &responses[i], Status::OK()};
-  }
-  OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
+  OE_ASSIGN_OR_RETURN(
+      const auto responses,
+      Broadcast(static_cast<uint32_t>(PsMethod::kPublishedCheckpoint),
+                request));
   uint64_t min_cp = ~0ULL;
   for (const Buffer& response : responses) {
     uint64_t cp = 0;
@@ -497,16 +383,13 @@ Result<uint64_t> PsClient::ClusterCheckpoint() {
 }
 
 Result<std::vector<float>> PsClient::Peek(storage::EntryId key) {
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
   for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
     if (attempt > 0) {
       BackoffBeforeRetry(attempt - 1);
       RefreshRoute();
     }
     const Router router = Route();
-    const net::NodeId node = (placed && placement_->is_hot(key))
-                                 ? placement_->ReplicaNode(key, 0)
-                                 : router.NodeFor(key);
+    const net::NodeId node = router.NodeFor(key);
     Buffer request;
     Writer writer(&request);
     PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read

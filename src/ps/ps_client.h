@@ -12,8 +12,6 @@
 
 namespace oe::ps {
 
-class PlacementTable;
-
 /// Worker-side client: batches Pull/Push per PS node over a Transport and
 /// reassembles responses in key order. Per-node requests are issued
 /// concurrently via Transport::ParallelCall — one overlapped round trip
@@ -26,37 +24,25 @@ class PlacementTable;
 /// network-duplicated requests are deduplicated server-side; see
 /// PsService), and the routing epoch the request was routed under.
 ///
-/// Routing: the client routes keyed operations with a *cached* SlotTable
-/// snapshot. When a migration moves slot ownership and publishes a new
-/// epoch, requests routed with the stale snapshot are rejected wholesale
+/// Routing: every key has exactly one owner, the node its slot maps to in the
+/// SlotTable, and Pull, Push, MultiGet and Peek all route by it using a
+/// *cached* table snapshot. When a migration moves slot ownership and publishes
+/// a new epoch, requests routed with the stale snapshot are rejected wholesale
 /// with kWrongOwner; the client then refreshes its snapshot from the
 /// RoutingDirectory (when one is installed via set_directory) and re-routes
-/// only the unacknowledged per-node requests under a fresh sequence number
-/// — the rejecting node applied nothing, and nodes that acknowledged are
-/// not re-sent, so pushes stay exactly-once across the redirect (including
-/// the hot-key replica fan-out). Between retries the client backs off with
-/// the transport's RpcOptions policy, giving an in-flight publish time to
-/// land. The only mutable state is the atomic sequence counter and the
-/// mutex-guarded route snapshot, so distinct threads may share one
-/// instance; SyncTrainer still gives each worker its own client to mirror
-/// the deployment.
+/// only the unacknowledged per-node requests under a fresh sequence number —
+/// the rejecting node applied nothing, and nodes that acknowledged are not
+/// re-sent, so pushes stay exactly-once across the redirect. Between retries
+/// the client backs off with the transport's RpcOptions policy, giving an
+/// in-flight publish time to land. The only mutable state is the atomic
+/// sequence counter and the mutex-guarded route snapshot, so distinct threads
+/// may share one instance; SyncTrainer still gives each worker its own client
+/// to mirror the deployment.
 class PsClient {
  public:
   /// `transport` must outlive the client; nodes [0, num_nodes) must be
   /// reachable through it.
   PsClient(net::Transport* transport, uint32_t num_nodes, uint32_t dim);
-
-  /// Installs a hot-key placement table (may be null to disable). With one
-  /// installed, pulls of a hot key round-robin across its replicas and
-  /// pushes of it fan to all replicas under one sequence number (each node
-  /// dedups independently — exactly-once per replica). The table must
-  /// outlive the client; all clients of a cluster share one table so they
-  /// agree on the replica sets. Hot keys are epoch-pinned: they never
-  /// migrate, so their replica set stays valid across routing epochs.
-  void set_placement(const PlacementTable* placement) {
-    placement_ = placement;
-  }
-  const PlacementTable* placement() const { return placement_; }
 
   /// Installs the routing directory to refresh the cached slot table from
   /// after a kWrongOwner rejection (may be null: the client then keeps its
@@ -68,13 +54,6 @@ class PsClient {
   void set_directory(const RoutingDirectory* directory) {
     directory_ = directory;
   }
-
-  /// Pulls every hot key once from *each* of its replica nodes so all of
-  /// them materialize the entry (first-touch initialization is
-  /// deterministic per key, so replicas start bit-identical). Must run
-  /// before the first Push of a hot key: pushes to a node that never saw
-  /// the key fail with NotFound. No-op without a placement table.
-  Status WarmReplicas(uint64_t batch);
 
   /// Reads weights for `n` keys into `out` (n * dim floats, key order).
   Status Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
@@ -92,10 +71,8 @@ class PsClient {
   /// cluster-wide publish is mid-flight) or a node rejects with kWrongOwner
   /// (a migration republished routing) the fan-out refreshes its route and
   /// retries with RpcOptions backoff between attempts, and after bounded
-  /// attempts returns Unavailable rather than torn data. Routes by key
-  /// ownership only — replicas may lag on checkpoint publication, so
-  /// serving reads pin hot keys to their primary replica instead of the
-  /// round-robin that Pull uses.
+  /// attempts returns Unavailable rather than torn data. Keys are routed
+  /// by slot ownership, exactly like Pull.
   Status MultiGet(const storage::EntryId* keys, size_t n, float* out,
                   uint8_t* found, uint64_t* snapshot_version);
 
@@ -104,11 +81,8 @@ class PsClient {
   Status WaitMaintenance(uint64_t batch);
   Status RequestCheckpoint(uint64_t batch);
   Status DrainCheckpoints();
-  /// Broadcasts recovery to all active nodes, then re-warms hot-key
-  /// replicas (no-op without a placement table): recovery rolls every
-  /// store back to its durable checkpoint, which evicts never-flushed
-  /// replica copies; re-warming re-materializes them through the same
-  /// deterministic first-touch path so replicas stay bit-identical.
+  /// Broadcasts recovery to all active nodes: each rolls its store back to
+  /// its durable checkpoint.
   Status Recover();
 
   /// Sum of entry counts across active nodes.
@@ -150,9 +124,24 @@ class PsClient {
   /// round `attempt` (0-based; exponential from backoff_initial_ms).
   void BackoffBeforeRetry(int attempt) const;
 
-  /// Broadcasts `payload` (header already included by the caller) to all
-  /// active nodes.
-  Status Broadcast(uint32_t method, const net::Buffer& request);
+  /// Key positions grouped by owning node under one route snapshot.
+  struct OwnerPartition {
+    /// positions[node]: indices into the caller's key array whose key
+    /// `node` owns, in the order they were visited.
+    std::vector<std::vector<size_t>> positions;
+    /// Nodes with at least one position, ascending.
+    std::vector<uint32_t> nodes;
+  };
+  /// Partitions positions [0, n) — or, when `subset` is non-null, the n
+  /// positions it lists — of `keys` by owning node under `router`.
+  static OwnerPartition PartitionByOwner(const Router& router,
+                                         const storage::EntryId* keys,
+                                         const size_t* subset, size_t n);
+
+  /// Sends `request` (header already included by the caller) to all active
+  /// nodes; returns their responses in active-list order.
+  Result<std::vector<net::Buffer>> Broadcast(uint32_t method,
+                                             const net::Buffer& request);
 
   net::Transport* transport_;
   mutable std::mutex route_mutex_;
@@ -160,10 +149,7 @@ class PsClient {
   uint32_t dim_;
   uint64_t client_id_;
   std::atomic<uint64_t> next_seq_{1};
-  const PlacementTable* placement_ = nullptr;
   const RoutingDirectory* directory_ = nullptr;
-  /// Round-robin cursor for spreading hot-key pulls over replicas.
-  std::atomic<uint64_t> pull_rr_{0};
 };
 
 }  // namespace oe::ps

@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "ckpt/checkpoint_log.h"
@@ -12,7 +11,6 @@
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "pmem/device.h"
-#include "ps/placement.h"
 #include "ps/ps_client.h"
 #include "ps/ps_service.h"
 #include "storage/embedding_store.h"
@@ -39,17 +37,6 @@ struct ClusterOptions {
   /// When false, DRAM-PS / Ori-Cache run without a checkpoint log
   /// (the "No Checkpoint" configurations of Table IV).
   bool with_checkpoint_log = true;
-
-  /// Statistics-driven hot-key placement (Table II skew): replicate the
-  /// `hot_replicate_keys` hottest ids across `hot_replicas` nodes each.
-  /// Ids are rank-ordered in the skewed workload model (id 0 hottest), so
-  /// the hot set is simply [0, hot_replicate_keys) unless `hot_keys`
-  /// overrides it explicitly. 0 with an empty `hot_keys` disables
-  /// placement. Replicas are warmed during Init (one pull on every replica
-  /// node) so pushes never see an unknown key.
-  uint64_t hot_replicate_keys = 0;
-  uint32_t hot_replicas = 2;
-  std::vector<storage::EntryId> hot_keys;
 
   /// Per-node hot-embedding ServingCache capacity for MultiGet serving
   /// reads (0 disables). Survives node restart (a restarted node gets a
@@ -125,9 +112,6 @@ class PsCluster {
   uint64_t TotalCacheMisses() const;
   uint64_t TotalSyncOps() const;  // Ori-Cache fine-grained sync points
 
-  /// The hot-key placement table, or null when placement is disabled.
-  const PlacementTable* placement() const { return placement_.get(); }
-
   /// Refreshes the per-shard load gauges from each node's engine counters:
   /// cluster.node_pull_keys{node=i} plus cluster.load_imbalance_bp
   /// (10000 * max/mean of per-node pull_keys; 10000 = perfectly balanced).
@@ -172,23 +156,21 @@ class PsCluster {
   /// hand it load. Returns the new node id. Pipelined-store clusters only.
   Result<uint32_t> AddNode();
 
-  /// Moves ownership of `slots` to `target` by snapshot-and-forward
-  /// migration, grouped by current owner. Per source node: seal the range
-  /// (drains in-flight handlers, rejects new pulls/pushes with
-  /// kWrongOwner), export the frozen image (<= checkpoint snapshot records
-  /// plus live heads), import it on the target, durably commit the
-  /// target's expanded slot ownership, publish epoch N+1, then shrink the
-  /// source's ownership, purge the handed-off range and unseal. Epoch-
-  /// pinned hot-key replicas never move. A node death observed at a
-  /// migration phase hook aborts the migration and rolls the target back
-  /// to the pre-migration epoch's state (kAborted).
+  /// Moves ownership of `slots` to `target` by snapshot-and-forward migration,
+  /// grouped by current owner. Per source node: seal the range (drains
+  /// in-flight handlers, rejects new pulls/pushes with kWrongOwner), export the
+  /// frozen image (<= checkpoint snapshot records plus live heads), import it
+  /// on the target, durably commit the target's expanded slot ownership,
+  /// publish epoch N+1, then shrink the source's ownership, purge the
+  /// handed-off range and unseal. A node death observed at a migration phase
+  /// hook aborts the migration and rolls the target back to the pre-migration
+  /// epoch's state (kAborted).
   Status MigrateSlots(const std::vector<uint32_t>& slots, uint32_t target);
 
   /// Scale-in: migrates every slot `node` owns round-robin to the other
   /// active nodes, then publishes a final epoch with `node` removed from
   /// the active list. The node stays registered (its id is not reused) but
-  /// owns nothing and receives no broadcasts. Refuses to drain a node
-  /// hosting epoch-pinned hot-key replicas.
+  /// owns nothing and receives no broadcasts.
   Status DrainNode(uint32_t node);
 
   /// Test hook invoked at named migration phases, in order: "sealed",
@@ -225,7 +207,7 @@ class PsCluster {
   /// participants, so never-migrated stores keep their legacy persist
   /// behavior (no root → recovery keeps every record).
   Status EnsureRoutingRoot(uint32_t node);
-  /// Durably records `node`'s slot ownership (+ its hot-key extras).
+  /// Durably records `node`'s slot ownership.
   Status WriteRoutingRoot(uint32_t node, uint64_t epoch,
                           const std::vector<bool>& owned);
   /// Re-aligns a restarted node's durable ownership with the published
@@ -233,10 +215,6 @@ class PsCluster {
   /// current epoch assigns elsewhere — rewrite the root and purge the
   /// foreign records. No-op for stores without a routing root.
   Status ReconcileOwnership(uint32_t node);
-
-  /// Hot keys whose replica set includes `node` (epoch-pinned; kept across
-  /// migrations and recovery regardless of slot ownership).
-  std::vector<storage::EntryId> HotExtras(uint32_t node) const;
 
   void NotifyMigrationPhase(const char* phase) {
     if (migration_hook_) migration_hook_(phase);
@@ -253,7 +231,6 @@ class PsCluster {
   std::vector<bool> node_down_;
   std::unique_ptr<net::InProcTransport> transport_;
   std::unique_ptr<net::FaultyTransport> faulty_;
-  std::unique_ptr<PlacementTable> placement_;
   std::unique_ptr<RoutingDirectory> directory_;
   std::unique_ptr<PsClient> client_;
   MigrationHook migration_hook_;

@@ -5,7 +5,6 @@
 
 #include "common/clock.h"
 #include "obs/trace.h"
-#include "ps/placement.h"
 #include "ps/slot_table.h"
 #include "storage/pipelined_store.h"
 
@@ -148,15 +147,6 @@ Status PsService::CheckOwnership(const uint64_t* keys, size_t n,
   const std::shared_ptr<const SlotTable> table = directory_->Current();
   for (size_t i = 0; i < n; ++i) {
     const uint64_t key = keys[i];
-    if (placement_ != nullptr && placement_->is_hot(key)) {
-      // Hot keys are epoch-pinned to their replica set; the slot table
-      // does not apply to them.
-      if (placement_->is_replica(node_id_, key)) continue;
-      wrong_owner_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return Status::WrongOwner(
-          "node " + std::to_string(node_id_) + " is not a replica of hot key " +
-          std::to_string(key));
-    }
     const uint32_t slot = storage::SlotOfKey(key);
     if (table->owners[slot] != node_id_ ||
         (check_seal && !sealed_.empty() && sealed_[slot])) {

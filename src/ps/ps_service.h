@@ -20,7 +20,6 @@
 namespace oe::ps {
 
 class RoutingDirectory;
-class PlacementTable;
 
 /// RPC method ids understood by a PS node (the paper's PullWeights /
 /// PushGradients / UpdateWeights operator family).
@@ -129,16 +128,13 @@ class PsService {
   /// every keyed request (pull/push/peek/multi-get) is checked against
   /// `directory`'s current slot table — a key whose slot this node does not
   /// own is rejected wholesale with kWrongOwner *before* any store access.
-  /// Hot keys from `placement` (may be null) are exempt from the table:
-  /// they are epoch-pinned, accepted at any node of their replica set.
   /// With a null `directory` (the default) all checks are skipped — the
   /// static-topology behavior direct-construction tests rely on.
   /// Not thread-safe against in-flight handlers; call before traffic.
-  void ConfigureRouting(net::NodeId node_id, const RoutingDirectory* directory,
-                        const PlacementTable* placement) {
+  void ConfigureRouting(net::NodeId node_id,
+                        const RoutingDirectory* directory) {
     node_id_ = node_id;
     directory_ = directory;
-    placement_ = placement;
   }
 
   /// Seals `slots` for migration: subsequent pulls/pushes touching a sealed
@@ -176,8 +172,8 @@ class PsService {
                         const RpcHeader& header);
 
   /// Wholesale ownership check for a keyed request: OK only if *every* key
-  /// is accepted here (hot keys: replica membership; others: table owner
-  /// == this node and, when `check_seal`, the slot is not sealed). Caller
+  /// is accepted here (its table owner is this node and, when
+  /// `check_seal`, its slot is not sealed). Caller
   /// must hold route_mutex_ (shared). No-op when routing is unconfigured.
   Status CheckOwnership(const uint64_t* keys, size_t n, bool check_seal,
                         const RpcHeader& header) const;
@@ -191,7 +187,6 @@ class PsService {
 
   net::NodeId node_id_ = 0;
   const RoutingDirectory* directory_ = nullptr;
-  const PlacementTable* placement_ = nullptr;
   /// Keyed handlers hold this shared for their full execution; SealSlots /
   /// UnsealSlots take it exclusively, which doubles as the in-flight
   /// handler barrier a migration needs before exporting.

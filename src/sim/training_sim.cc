@@ -128,8 +128,6 @@ Result<EpochReport> TrainingSimulator::Run() {
   cluster_options.checkpoint_device = options_.checkpoint_device;
   cluster_options.crash_fidelity = pmem::CrashFidelity::kNone;
   cluster_options.with_checkpoint_log = options_.checkpoints_per_epoch > 0;
-  cluster_options.hot_replicate_keys = options_.hot_replicate_keys;
-  cluster_options.hot_replicas = options_.hot_replicas;
   OE_ASSIGN_OR_RETURN(cluster_, ps::PsCluster::Create(cluster_options));
 
   if (options_.populate) OE_RETURN_IF_ERROR(Populate());

@@ -64,26 +64,12 @@ struct StoreConfig {
   /// single-lock layout; values < 1 are clamped to 1.
   int store_shards = 16;
 
-  /// DRAM-cache replacement policy for the pipelined engine. The knobs
-  /// below only matter under kFreqAware.
+  /// DRAM-cache replacement policy for the pipelined engine.
   CachePolicy cache_policy = CachePolicy::kLru;
-  /// Per-shard count-min sketch width (counters per row; 4 rows of
-  /// saturating 8-bit counters), rounded up to a power of two.
-  uint32_t freq_counters = 1 << 12;
-  /// Halve every frequency counter after this many maintenance batches per
-  /// shard (the periodic decay that lets stale hot keys cool off). <= 0
-  /// disables decay.
-  int freq_decay_batches = 64;
-  /// Pin an entry in DRAM (never evict) once its estimated frequency
-  /// reaches this many batches within the decay window; unpin when it
-  /// decays below half of it.
+  /// Under kFreqAware: pin an entry in DRAM (never evict) once its
+  /// estimated frequency reaches this many batches within the decay window;
+  /// unpin when it decays below half of it.
   uint32_t hot_pin_min_freq = 8;
-  /// At most this fraction of a shard's cache capacity may be pinned, so
-  /// eviction always has an unpinned victim available.
-  double hot_pin_fraction = 0.5;
-  /// Victim search window: the lowest-frequency entry among this many
-  /// LRU-tail candidates is evicted (1 degenerates to plain LRU).
-  uint32_t evict_window = 8;
 
   /// Bucket count for the PMem-resident hash table (PMem-Hash engine).
   uint64_t pmem_hash_buckets = 1 << 14;

@@ -112,7 +112,7 @@ Status PipelinedStore::Init() {
   if (config_.cache_enabled &&
       config_.cache_policy == CachePolicy::kFreqAware) {
     for (auto& sh : shards_) {
-      sh.freq = std::make_unique<cache::FreqEstimator>(config_.freq_counters);
+      sh.freq = std::make_unique<cache::FreqEstimator>(kFreqCounters);
     }
   }
   const uint64_t cp = pool_->RootGet(kRootCheckpointId);
@@ -625,12 +625,7 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
   }
   if (by_freq) {
     ++sh.maint_batches;
-    if (config_.freq_decay_batches > 0 &&
-        sh.maint_batches %
-                static_cast<uint64_t>(config_.freq_decay_batches) ==
-            0) {
-      sh.freq->Decay();
-    }
+    if (sh.maint_batches % kFreqDecayBatches == 0) sh.freq->Decay();
   }
   // Cache health gauges (DESIGN.md §9); cheap atomic reads, refreshed once
   // per chunk rather than per key.
@@ -712,9 +707,8 @@ Status PipelinedStore::FlushEntryLocked(size_t shard, CacheEntry* entry) {
 
 size_t PipelinedStore::PinCapacity(const Shard& sh) const {
   if (sh.capacity == 0) return 0;
-  const double frac = std::clamp(config_.hot_pin_fraction, 0.0, 1.0);
   const auto cap =
-      static_cast<size_t>(frac * static_cast<double>(sh.capacity));
+      static_cast<size_t>(kHotPinFraction * static_cast<double>(sh.capacity));
   // Always leave at least one unpinned slot so eviction can make progress.
   return std::min(cap, sh.capacity - 1);
 }
@@ -741,11 +735,10 @@ PipelinedStore::CacheEntry* PipelinedStore::PickVictimLocked(
     size_t shard, const std::vector<CacheEntry*>& skip) {
   Shard& sh = shards_[shard];
   const bool by_freq = sh.freq != nullptr;
-  const uint32_t window = std::max<uint32_t>(1, config_.evict_window);
   CacheEntry* best = nullptr;
   uint32_t best_freq = 0;
   uint32_t examined = 0;
-  for (CacheEntry* e = sh.lru.Tail(); e != nullptr && examined < window;
+  for (CacheEntry* e = sh.lru.Tail(); e != nullptr && examined < kEvictWindow;
        e = sh.lru.MoreRecent(e), ++examined) {
     if (e->pinned) {
       // Lazy unpin: a pinned entry that drifted into the victim window has
@@ -1095,7 +1088,7 @@ Status PipelinedStore::RecoverFromCrash() {
       // Frequency observations describe pre-crash traffic; recovery replays
       // from the checkpoint, so start the sketch cold like the cache.
       shard.freq =
-          std::make_unique<cache::FreqEstimator>(config_.freq_counters);
+          std::make_unique<cache::FreqEstimator>(kFreqCounters);
     }
     std::lock_guard<std::mutex> lock(shard.stage_mutex);
     shard.staged.clear();
@@ -1141,8 +1134,7 @@ Status PipelinedStore::RecoverFromCrash() {
       device_->ChargeRead(EntryLayout::kHeaderBytes);
       const EntryId key = EntryLayout::RecordKey(record);
       const uint64_t version = EntryLayout::RecordVersion(record);
-      if (route.present && !route.owned[SlotOfKey(key)] &&
-          route.extras.count(key) == 0) {
+      if (route.present && !route.owned[SlotOfKey(key)]) {
         discard.push_back(offset);
         continue;
       }
@@ -1238,15 +1230,16 @@ Status PipelinedStore::RecoverFromCrash() {
 }
 
 Status PipelinedStore::SetOwnedSlots(uint64_t epoch,
-                                     const std::vector<bool>& owned,
-                                     const std::vector<EntryId>& extra_keys) {
+                                     const std::vector<bool>& owned) {
   if (owned.size() != kNumRoutingSlots) {
     return Status::InvalidArgument(
         "owned bitmap must cover every routing slot");
   }
-  // Blob: [epoch u64][num_slots u64][bitmap][extra_count u64][extras...].
+  // Blob: [epoch u64][num_slots u64][bitmap][extra_count u64]. The count
+  // is always 0; nonzero counts listed hot-key replicas kept outside the
+  // owned slots, a retired configuration ReadOwnedSlots refuses.
   constexpr size_t kBitmapBytes = kNumRoutingSlots / 8;
-  std::vector<uint8_t> blob(8 + 8 + kBitmapBytes + 8 + extra_keys.size() * 8);
+  std::vector<uint8_t> blob(8 + 8 + kBitmapBytes + 8);
   uint8_t* p = blob.data();
   auto put64 = [&p](uint64_t v) {
     std::memcpy(p, &v, sizeof(v));
@@ -1259,8 +1252,7 @@ Status PipelinedStore::SetOwnedSlots(uint64_t epoch,
     if (owned[s]) p[s / 8] |= static_cast<uint8_t>(1u << (s % 8));
   }
   p += kBitmapBytes;
-  put64(extra_keys.size());
-  for (const EntryId key : extra_keys) put64(key);
+  put64(0);
 
   const uint64_t old_blob = pool_->RootGet(kRootRouting);
   uint64_t offset = 0;
@@ -1303,15 +1295,17 @@ Result<PipelinedStore::OwnedSlots> PipelinedStore::ReadOwnedSlots() const {
     if ((p[s / 8] >> (s % 8)) & 1u) result.owned[s] = true;
   }
   p += kBitmapBytes;
-  const uint64_t extras = get64();
-  for (uint64_t i = 0; i < extras; ++i) result.extras.insert(get64());
-  device_->ChargeRead(8 + 8 + kBitmapBytes + 8 + extras * 8);
+  if (get64() != 0) {
+    return Status::FailedPrecondition(
+        "routing root lists hot-key replica extras, a retired configuration; "
+        "recovering would drop their records");
+  }
+  device_->ChargeRead(8 + 8 + kBitmapBytes + 8);
   result.present = true;
   return result;
 }
 
 Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
-                                   const std::unordered_set<EntryId>& exclude,
                                    ckpt::CheckpointLog* log) {
   if (log == nullptr) return Status::InvalidArgument("null migration log");
   if (slots.size() != kNumRoutingSlots) {
@@ -1338,7 +1332,7 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
   std::vector<Item> items;
   for (auto& shard : shards_) {
     shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
-      if (!slots[SlotOfKey(key)] || exclude.count(key) != 0) return;
+      if (!slots[SlotOfKey(key)]) return;
       Item item{key, nullptr, kNullOffset, 0};
       if (ptr.is_dram()) {
         item.entry = ptr.dram<CacheEntry>();
@@ -1463,8 +1457,8 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
         const size_t s = ShardOf(key);
         if (incoming.find(key) == incoming.end() &&
             shards_[s].index.Find(key) != nullptr) {
-          // The key already lives here (a hot-replica copy, or an image
-          // re-delivered after a partial import): the local copy wins.
+          // The key already lives here (an image re-delivered after a
+          // partial import): the local copy wins.
           return;
         }
         EntryLayout::SetRecordHeader(record.data(), key, version);
@@ -1642,8 +1636,7 @@ Status PipelinedStore::RemoveKeys(const std::vector<EntryId>& keys) {
   return Status::OK();
 }
 
-Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
-                                  const std::unordered_set<EntryId>& keep) {
+Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots) {
   if (slots.size() != kNumRoutingSlots) {
     return Status::InvalidArgument(
         "slot bitmap must cover every routing slot");
@@ -1658,7 +1651,7 @@ Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
   for (auto& shard : shards_) {
     shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
       (void)ptr;
-      if (slots[SlotOfKey(key)] && keep.count(key) == 0) victims.insert(key);
+      if (slots[SlotOfKey(key)]) victims.insert(key);
     });
   }
   std::vector<uint64_t> to_free;

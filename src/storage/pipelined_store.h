@@ -60,7 +60,7 @@ namespace oe::storage {
 /// observed frequency beats the would-be victim's, the eviction victim is
 /// the lowest-frequency entry within the LRU-tail window, and entries whose
 /// frequency crosses the hot threshold are pinned (never evicted, bounded
-/// by hot_pin_fraction of the shard's capacity). Victim selection removes
+/// by kHotPinFraction of the shard's capacity). Victim selection removes
 /// entries without reordering, so the LRU-order == version-order invariant
 /// the checkpoint barrier relies on is untouched.
 ///
@@ -132,13 +132,11 @@ class PipelinedStore final : public EmbeddingStore {
   struct OwnedSlots {
     bool present = false;  // false: no routing root was ever written
     uint64_t epoch = 0;
-    std::vector<bool> owned;            // size kNumRoutingSlots when present
-    std::unordered_set<EntryId> extras;  // epoch-pinned hot keys kept here
+    std::vector<bool> owned;  // size kNumRoutingSlots when present
   };
 
   /// Durably records which routing slots this store owns as of routing
-  /// `epoch`, plus `extra_keys` it must keep regardless of slot (the
-  /// epoch-pinned hot-key replicas). Two persist events: the record blob
+  /// `epoch`. Two persist events: the record blob
   /// ("route-blob", via the pool's kRouteTag protocol) and the
   /// failure-atomic root-slot store ("route-root") — the root store is the
   /// commit point, so a crash between them leaves the previous ownership
@@ -147,15 +145,17 @@ class PipelinedStore final : public EmbeddingStore {
   /// import atomic (imported records in not-yet-committed slots vanish),
   /// and on a source it garbage-collects the handed-off range even if the
   /// post-migration purge never ran.
-  Status SetOwnedSlots(uint64_t epoch, const std::vector<bool>& owned,
-                       const std::vector<EntryId>& extra_keys);
+  Status SetOwnedSlots(uint64_t epoch, const std::vector<bool>& owned);
 
   /// Reads the routing root back from the pool (recovery, tests, crash
   /// harnesses). present == false when no root was ever committed.
+  /// FailedPrecondition when the root lists per-key extras: those came from
+  /// the retired hot-key replication, and recovering without them would
+  /// silently drop their records (see DESIGN.md §11).
   Result<OwnedSlots> ReadOwnedSlots() const;
 
   /// Copies the migration image of `slots` into `log`: for every key in a
-  /// marked slot (minus `exclude`, the epoch-pinned hot keys), the newest
+  /// marked slot, the newest
   /// record at or below the published checkpoint — the snapshot the target
   /// serves to MultiGet — plus the live head when it is newer (dirty DRAM
   /// state is serialized as a record), so the target resumes training from
@@ -163,12 +163,11 @@ class PipelinedStore final : public EmbeddingStore {
   /// ExportRange takes every shard write lock but nothing stops a push
   /// between export and routing publish except the seal. Requires a
   /// published checkpoint on this store or an empty range.
-  Status ExportRange(const std::vector<bool>& slots,
-                     const std::unordered_set<EntryId>& exclude,
-                     ckpt::CheckpointLog* log);
+  Status ExportRange(const std::vector<bool>& slots, ckpt::CheckpointLog* log);
 
   /// Merges a migration image into this (live) store. Keys already present
-  /// are skipped (hot-replica copies win over a stray export); for new
+  /// are skipped (the local copy wins, so an image re-delivered after a
+  /// partial import never rolls a key back); for new
   /// keys the newest record lands in the index and an older snapshot
   /// record is registered for snapshot readers. Persist site per record:
   /// "migrate-entry". On success appends every imported key to `imported`
@@ -184,11 +183,10 @@ class PipelinedStore final : public EmbeddingStore {
   Status RemoveKeys(const std::vector<EntryId>& keys);
 
   /// Post-handoff cleanup on the source: drops every key of the marked
-  /// slots except `keep` (hot keys). Records a snapshot reader could still
+  /// slots. Records a snapshot reader could still
   /// be pinned to are deferred, newer ones freed; index entries are erased
   /// so the space is reclaimed while the store keeps running.
-  Status PurgeSlots(const std::vector<bool>& slots,
-                    const std::unordered_set<EntryId>& keep);
+  Status PurgeSlots(const std::vector<bool>& slots);
   size_t EntryCount() const override;
   Result<std::vector<float>> Peek(EntryId key) const override;
 
@@ -293,6 +291,20 @@ class PipelinedStore final : public EmbeddingStore {
 
   static constexpr EntryId kNoVictim = ~0ULL;
 
+  // kFreqAware policy constants.
+  /// Per-shard count-min sketch width (counters per row; 4 rows of
+  /// saturating 8-bit counters).
+  static constexpr uint32_t kFreqCounters = 1 << 12;
+  /// Every frequency counter is halved after this many maintenance batches
+  /// per shard (the decay that lets stale hot keys cool off).
+  static constexpr uint64_t kFreqDecayBatches = 64;
+  /// At most this fraction of a shard's cache capacity may be pinned, so
+  /// eviction always has an unpinned victim available.
+  static constexpr double kHotPinFraction = 0.5;
+  /// Victim search window: the lowest-frequency entry among this many
+  /// LRU-tail candidates is evicted.
+  static constexpr uint32_t kEvictWindow = 8;
+
   PipelinedStore(const StoreConfig& config, pmem::PmemDevice* device);
 
   static size_t ShardCount(const StoreConfig& config);
@@ -327,13 +339,13 @@ class PipelinedStore final : public EmbeddingStore {
 
   /// Selects this shard's eviction victim per the configured policy: the
   /// LRU tail under kLru, else the lowest-frequency unpinned entry within
-  /// the evict_window LRU-tail candidates (ties keep the least recent).
+  /// the kEvictWindow LRU-tail candidates (ties keep the least recent).
   /// Entries in `skip` (flush-failed this round) are passed over. Returns
   /// nullptr if everything in the window is pinned or skipped.
   CacheEntry* PickVictimLocked(size_t shard,
                                const std::vector<CacheEntry*>& skip);
 
-  /// Max pinned entries a shard may hold (hot_pin_fraction of its
+  /// Max pinned entries a shard may hold (kHotPinFraction of its
   /// capacity, always leaving at least one unpinned slot).
   size_t PinCapacity(const Shard& sh) const;
 

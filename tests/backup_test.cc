@@ -46,8 +46,7 @@ void TrainBatch(PipelinedStore* store, uint64_t batch,
 // newest record at or below the published checkpoint, plus the live head
 // when training has moved past it.
 Status Backup(PipelinedStore* store, CheckpointLog* remote) {
-  return store->ExportRange(std::vector<bool>(kNumRoutingSlots, true), {},
-                            remote);
+  return store->ExportRange(std::vector<bool>(kNumRoutingSlots, true), remote);
 }
 
 // Restore is the migration import into a fresh store on `device`, then the
