@@ -35,6 +35,9 @@ enum class StatusCode : uint8_t {
   /// resending the same bytes to the same node cannot succeed.
   kWrongOwner = 13,
 };
+/// The highest StatusCode value (codes crossing a wire are checked against
+/// it); keep it in step with the enum.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kWrongOwner;
 
 /// Returns a short human-readable name ("Ok", "IoError", ...).
 std::string_view StatusCodeToString(StatusCode code);

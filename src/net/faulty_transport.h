@@ -84,7 +84,6 @@ class FaultyTransport final : public Transport {
   /// `base` must outlive this transport. `seed` derives every per-node
   /// PRNG (node id is folded in, so nodes see distinct streams).
   explicit FaultyTransport(Transport* base, uint64_t seed = 1);
-  ~FaultyTransport() override { ShutdownCallAsync(); }
 
   /// Installs `spec` for calls to `node`. Replaces any previous spec and
   /// resets the node's ordinal counter and PRNG, so a schedule can be

@@ -3,9 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstring>
 
 #include "common/logging.h"
@@ -13,11 +17,14 @@
 namespace oe::net {
 namespace {
 
-Status ReadFully(int fd, void* data, size_t n, bool* got_bytes = nullptr) {
+/// Reads at least `min` and at most `max` bytes into `data`, setting
+/// *got to the count read.
+Status ReadAtLeast(int fd, void* data, size_t min, size_t max, size_t* got,
+                   bool* got_bytes) {
   auto* p = static_cast<uint8_t*>(data);
   size_t done = 0;
-  while (done < n) {
-    const ssize_t r = ::read(fd, p + done, n - done);
+  while (done < min) {
+    const ssize_t r = ::read(fd, p + done, max - done);
     if (r == 0) return Status::IoError("connection closed");
     if (r < 0) {
       if (errno == EINTR) continue;
@@ -27,26 +34,8 @@ Status ReadFully(int fd, void* data, size_t n, bool* got_bytes = nullptr) {
       return Status::IoError(std::string("read: ") + std::strerror(errno));
     }
     done += static_cast<size_t>(r);
+    *got = done;
     if (got_bytes != nullptr) *got_bytes = true;
-  }
-  return Status::OK();
-}
-
-Status WriteFully(int fd, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  size_t done = 0;
-  while (done < n) {
-    // MSG_NOSIGNAL: a peer closing mid-write must surface as EPIPE (an
-    // IoError Status), not a process-killing SIGPIPE.
-    const ssize_t r = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::TimedOut("send timed out");
-      }
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    done += static_cast<size_t>(r);
   }
   return Status::OK();
 }
@@ -64,30 +53,94 @@ Status SendFrame(int fd, uint32_t tag, const uint8_t* payload, size_t n) {
   uint8_t header[8];
   std::memcpy(header, &len, 4);
   std::memcpy(header + 4, &tag, 4);
-  OE_RETURN_IF_ERROR(WriteFully(fd, header, sizeof(header)));
-  if (n > 0) OE_RETURN_IF_ERROR(WriteFully(fd, payload, n));
-  return Status::OK();
+  // Header and payload leave in one sendmsg; the loop only repeats for a
+  // partial write, advancing the iovecs past the bytes already sent.
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<uint8_t*>(payload), n}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = n > 0 ? 2 : 1;
+  size_t left = sizeof(header) + n;
+  while (true) {
+    // MSG_NOSIGNAL: a peer closing mid-write must surface as EPIPE (an
+    // IoError Status), not a process-killing SIGPIPE.
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::TimedOut("send timed out");
+      }
+      return Status::IoError(std::string("send: ") + std::strerror(errno));
+    }
+    size_t sent = static_cast<size_t>(r);
+    left -= sent;
+    if (left == 0) return Status::OK();
+    while (sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    msg.msg_iov->iov_base = static_cast<uint8_t*>(msg.msg_iov->iov_base) + sent;
+    msg.msg_iov->iov_len -= sent;
+  }
 }
+
+/// Payload bytes ReceiveFrame can take in the same read as the header.
+constexpr size_t kInlinePayloadBytes = 4096;
 
 /// `got_bytes` (optional) is set once any response byte arrived — after
 /// that the request has definitely been processed, so a caller must not
-/// transparently re-send it on another connection.
+/// transparently re-send it on another connection. A nonzero `deadline`
+/// (wall ns) bounds the wait for the first byte.
 Status ReceiveFrame(int fd, uint32_t* tag, Buffer* payload,
-                    bool* got_bytes = nullptr) {
-  uint8_t header[8];
-  OE_RETURN_IF_ERROR(ReadFully(fd, header, sizeof(header), got_bytes));
+                    bool* got_bytes = nullptr, Nanos deadline = 0) {
+  if (deadline != 0) {
+    const Nanos left = std::max<Nanos>(0, deadline - WallNowNanos());
+    pollfd readable{fd, POLLIN, 0};
+    const int wait_ms = static_cast<int>(
+        std::min<Nanos>((left + 999'999) / 1'000'000, INT_MAX));
+    if (::poll(&readable, 1, wait_ms) == 0) {
+      return Status::TimedOut("read timed out");
+    }
+  }
+  // One read takes the header and, for a small frame, the whole payload.
+  // A connection carries one frame at a time each way (a client sends its
+  // next request only after reading the reply), so no read can run into
+  // the next frame; bytes beyond this one mean a broken peer.
+  uint8_t head[8 + kInlinePayloadBytes];
+  size_t got = 0;
+  OE_RETURN_IF_ERROR(
+      ReadAtLeast(fd, head, 8, sizeof(head), &got, got_bytes));
   uint32_t len = 0;
-  std::memcpy(&len, header, 4);
-  std::memcpy(tag, header + 4, 4);
-  if (len < 4 || len > kMaxFrameBytes) {
+  std::memcpy(&len, head, 4);
+  std::memcpy(tag, head + 4, 4);
+  const size_t inline_bytes = got - 8;
+  if (len < 4 || len > kMaxFrameBytes || inline_bytes > len - 4) {
     return Status::Corruption("bad frame length");
   }
   payload->resize(len - 4);
-  if (len > 4) {
-    OE_RETURN_IF_ERROR(
-        ReadFully(fd, payload->data(), payload->size(), got_bytes));
+  if (inline_bytes > 0) {
+    std::memcpy(payload->data(), head + 8, inline_bytes);
   }
-  return Status::OK();
+  const size_t rest = payload->size() - inline_bytes;
+  return ReadAtLeast(fd, payload->data() + inline_bytes, rest, rest, &got,
+                     got_bytes);
+}
+
+/// The status a reply's status word `code` stands for. The server sends a
+/// StatusCode with the message as payload; mapping it back lets callers act
+/// on it (kWrongOwner re-routes, kUnavailable retries). Consumes the
+/// message from `payload`.
+Status RemoteStatus(uint32_t code, Buffer* payload) {
+  if (code == 0) return Status::OK();
+  const std::string msg(payload->begin(), payload->end());
+  payload->clear();
+  if (code > static_cast<uint32_t>(kLastStatusCode)) {
+    return Status::Corruption("remote error with unknown status code " +
+                              std::to_string(code) + ": " + msg);
+  }
+  return Status::FromCode(static_cast<StatusCode>(code),
+                          "remote error: " + msg);
 }
 
 }  // namespace
@@ -188,7 +241,8 @@ void TcpServer::ServeConnection(uint64_t id, int fd) {
     if (status.ok()) {
       io = SendFrame(fd, 0, response.data(), response.size());
     } else {
-      const std::string msg = status.ToString();
+      // The status word carries the code; the payload is the message.
+      const std::string_view msg = status.message();
       io = SendFrame(fd, static_cast<uint32_t>(status.code()),
                      reinterpret_cast<const uint8_t*>(msg.data()),
                      msg.size());
@@ -208,7 +262,6 @@ void TcpServer::ServeConnection(uint64_t id, int fd) {
 }
 
 TcpTransport::~TcpTransport() {
-  ShutdownCallAsync();  // queued completions still dial through *this
   for (auto& [node, endpoint] : endpoints_) {
     for (int fd : endpoint->idle_fds) ::close(fd);
   }
@@ -223,8 +276,9 @@ void TcpTransport::AddNode(NodeId node, const std::string& host,
   endpoints_[node] = std::move(endpoint);
 }
 
-Result<TcpTransport::Connection> TcpTransport::CheckOut(Endpoint* endpoint) {
-  {
+Result<TcpTransport::Connection> TcpTransport::CheckOut(Endpoint* endpoint,
+                                                        bool fresh) {
+  if (!fresh) {
     std::lock_guard<std::mutex> lock(endpoint->mutex);
     if (!endpoint->idle_fds.empty()) {
       const int fd = endpoint->idle_fds.back();
@@ -291,63 +345,108 @@ void TcpTransport::CheckIn(Endpoint* endpoint, int fd) {
   }
 }
 
+TcpTransport::Endpoint* TcpTransport::FindEndpoint(NodeId node) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = endpoints_.find(node);
+  return it == endpoints_.end() ? nullptr : it->second.get();
+}
+
 Status TcpTransport::CallOnce(NodeId node, uint32_t method,
                               const Buffer& request, Buffer* response) {
-  Endpoint* endpoint = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = endpoints_.find(node);
-    if (it == endpoints_.end()) {
-      return Status::NotFound("no such node: " + std::to_string(node));
-    }
-    endpoint = it->second.get();
-  }
-  OE_ASSIGN_OR_RETURN(Connection conn, CheckOut(endpoint));
+  RpcCall call{node, method, &request, response, Status::OK()};
+  Attempt attempt{&call};
+  AttemptEach(&attempt, 1);
+  return std::move(call.status);
+}
 
-  uint32_t code = 0;
-  bool got_bytes = false;
-  auto attempt = [&](int fd) {
-    got_bytes = false;
-    Status status = SendFrame(fd, method, request.data(), request.size());
-    if (status.ok()) status = ReceiveFrame(fd, &code, response, &got_bytes);
-    return status;
+Status TcpTransport::ParallelCall(RpcCall* calls, size_t n) {
+  return CallWithRetries(calls, n);
+}
+
+void TcpTransport::AttemptEach(Attempt* attempts, size_t n) {
+  struct Exchange {
+    Endpoint* endpoint = nullptr;
+    Connection conn;
+    Status sent;
+    bool active = true;  // takes part in the current round
   };
-
-  Status status = attempt(conn.fd);
-  if (status.code() == StatusCode::kInvalidArgument) {
-    // Length validation failed before any bytes hit the wire; the
-    // connection is still clean.
-    CheckIn(endpoint, conn.fd);
-    return status;
-  }
-  if (!status.ok()) {
-    ::close(conn.fd);
-    // A pooled connection that failed before yielding a single response
-    // byte is most likely stale — the server restarted since we pooled it,
-    // so the request never reached a live peer. Drop every idle connection
-    // to that endpoint (they are all from the dead server) and re-send once
-    // on a freshly dialed socket. Failures after response bytes arrived, or
-    // on a fresh connection, propagate to the caller's retry policy.
-    if (!conn.pooled || got_bytes) return status;
-    InvalidatePool(endpoint);
-    auto redial = Dial(*endpoint);
-    if (!redial.ok()) return redial.status();
-    conn = Connection{std::move(redial).ValueOrDie(), /*pooled=*/false};
-    response->clear();
-    status = attempt(conn.fd);
-    if (!status.ok()) {
-      ::close(conn.fd);
-      return status;
+  std::vector<Exchange> exchanges(n);
+  auto finish = [&](size_t i, Status status) {
+    exchanges[i].active = false;
+    attempts[i].call->status = std::move(status);
+    attempts[i].done_ns = WallNowNanos();
+  };
+  const int64_t deadline_ms = rpc_options().deadline_ms;
+  // Round 0 sends every request on a pooled or new connection. Round 1
+  // re-sends, on new sockets, the requests whose pooled connection failed
+  // before yielding a reply byte: most likely stale (the server restarted
+  // since it was pooled), so the request never reached a live peer. Each
+  // round sends all its requests, then reads the replies in call order on
+  // this thread. TcpServer reads each request in full before it writes that
+  // request's reply, so a reply not yet read never stalls a later send.
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < n; ++i) {
+      Exchange& x = exchanges[i];
+      const RpcCall& call = *attempts[i].call;
+      if (!x.active) continue;
+      if (round == 0) x.endpoint = FindEndpoint(call.node);
+      if (x.endpoint == nullptr) {
+        finish(i, Status::NotFound("no such node: " +
+                                   std::to_string(call.node)));
+        continue;
+      }
+      Result<Connection> conn = CheckOut(x.endpoint, /*fresh=*/round > 0);
+      if (!conn.ok()) {
+        finish(i, conn.status());
+        continue;
+      }
+      x.conn = conn.value();
+      const Buffer& request = call.payload();
+      x.sent =
+          SendFrame(x.conn.fd, call.method, request.data(), request.size());
+      if (x.sent.code() == StatusCode::kInvalidArgument) {
+        // Length validation failed before any bytes hit the wire; the
+        // connection is still clean.
+        CheckIn(x.endpoint, x.conn.fd);
+        finish(i, std::move(x.sent));
+      }
     }
+    // With a deadline, every read of the round shares one bound, so hung
+    // peers time out together rather than one socket timeout after another.
+    const Nanos deadline =
+        deadline_ms > 0 ? WallNowNanos() + deadline_ms * 1'000'000 : 0;
+    bool resend = false;
+    for (size_t i = 0; i < n; ++i) {
+      Exchange& x = exchanges[i];
+      RpcCall& call = *attempts[i].call;
+      if (!x.active) continue;
+      Status status = std::move(x.sent);
+      uint32_t code = 0;
+      bool got_bytes = false;
+      if (status.ok()) {
+        status = ReceiveFrame(x.conn.fd, &code, call.response, &got_bytes,
+                              deadline);
+      }
+      if (status.ok()) {
+        CheckIn(x.endpoint, x.conn.fd);
+        stats_.Record(call.payload().size(), call.response->size());
+        finish(i, RemoteStatus(code, call.response));
+        continue;
+      }
+      ::close(x.conn.fd);
+      if (round == 0 && x.conn.pooled && !got_bytes) {
+        // Every idle connection to that endpoint is from the dead server
+        // too. Failures after reply bytes arrived, or on a new connection,
+        // go to the caller's retry policy.
+        InvalidatePool(x.endpoint);
+        call.response->clear();
+        resend = true;
+        continue;
+      }
+      finish(i, std::move(status));
+    }
+    if (!resend) break;
   }
-  CheckIn(endpoint, conn.fd);
-  stats_.Record(request.size(), response->size());
-  if (code != 0) {
-    const std::string msg(response->begin(), response->end());
-    response->clear();
-    return Status::Internal("remote error: " + msg);
-  }
-  return Status::OK();
 }
 
 }  // namespace oe::net

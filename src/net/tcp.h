@@ -24,7 +24,8 @@ inline constexpr size_t kMaxFramePayloadBytes = kMaxFrameBytes - 4;
 /// Blocking TCP RPC server for one PS node. Wire format (little endian):
 ///   request:  [ len : u32 ][ method : u32 ][ payload : len-4 bytes ]
 ///   response: [ len : u32 ][ status : u32 ][ payload : len-4 bytes ]
-/// A non-zero status carries the error message as payload.
+/// A non-zero status is the handler's StatusCode, with its message as the
+/// payload.
 class TcpServer {
  public:
   /// Binds to 127.0.0.1:`port` (0 = ephemeral; see port()) and serves
@@ -67,6 +68,10 @@ class TcpServer {
 /// a small pool of cached connections, so concurrent calls to the same node
 /// (the ParallelCall fan-out, or several workers sharing one transport) run
 /// on distinct sockets instead of serializing behind a single connection.
+/// ParallelCall needs no threads: it checks out one connection per call,
+/// sends every request, then reads the replies in call order on the calling
+/// thread; Call and CallOnce are the same code with one call. A server-side
+/// error keeps its StatusCode across the wire.
 /// A pooled connection that turns out to be stale (the server restarted
 /// since it was pooled) is detected on first use — the whole idle pool for
 /// that endpoint is invalidated and the request re-sent once on a freshly
@@ -83,6 +88,9 @@ class TcpTransport final : public Transport {
 
   Status CallOnce(NodeId node, uint32_t method, const Buffer& request,
                   Buffer* response) override;
+
+  using Transport::ParallelCall;
+  Status ParallelCall(RpcCall* calls, size_t n) override;
 
  private:
   struct Endpoint {
@@ -103,8 +111,12 @@ class TcpTransport final : public Transport {
   /// extra sockets that close on check-in instead of pooling.
   static constexpr size_t kMaxIdleConnections = 8;
 
-  /// Pops an idle pooled connection or dials a new one.
-  Result<Connection> CheckOut(Endpoint* endpoint);
+  /// Sends every request, then reads every reply (see the class comment).
+  void AttemptEach(Attempt* attempts, size_t n) override;
+  /// The endpoint registered for `node`, or null.
+  Endpoint* FindEndpoint(NodeId node);
+  /// Pops an idle pooled connection (unless `fresh`) or dials a new one.
+  Result<Connection> CheckOut(Endpoint* endpoint, bool fresh);
   /// Connects a new socket to `endpoint` (TCP_NODELAY, deadline timeouts).
   Result<int> Dial(const Endpoint& endpoint);
   /// Closes every idle connection (after one was found broken: the server

@@ -42,40 +42,79 @@ obs::Distribution* Transport::RpcLatencyFor(NodeId node) {
   return dist;
 }
 
-Status Transport::Call(NodeId node, uint32_t method, const Buffer& request,
-                       Buffer* response) {
-  obs::ScopedSpan span("net", "rpc");
-  const Nanos call_start = WallNowNanos();
-  Status status = CallWithRetries(node, method, request, response);
-  RpcLatencyFor(node)->Record(
-      static_cast<double>(WallNowNanos() - call_start));
-  return status;
+const Buffer& RpcCall::payload() const {
+  static const Buffer kEmpty;
+  return request != nullptr ? *request : kEmpty;
 }
 
-Status Transport::CallWithRetries(NodeId node, uint32_t method,
-                                  const Buffer& request, Buffer* response) {
+Status Transport::Call(NodeId node, uint32_t method, const Buffer& request,
+                       Buffer* response) {
+  RpcCall call{node, method, &request, response, Status::OK()};
+  return CallWithRetries(&call, 1);
+}
+
+void Transport::RecordCall(const RpcCall& call, Nanos start, Nanos end) {
+  RpcLatencyFor(call.node)->Record(static_cast<double>(end - start));
+  obs::TraceRecorder& trace = obs::TraceRecorder::Default();
+  if (trace.enabled()) trace.RecordSpan("net", "rpc", start, end - start);
+}
+
+void Transport::AttemptEach(Attempt* attempts, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    RpcCall& call = *attempts[i].call;
+    call.status = CallOnce(call.node, call.method, call.payload(),
+                           call.response);
+    attempts[i].done_ns = WallNowNanos();
+  }
+}
+
+Status Transport::CallWithRetries(RpcCall* calls, size_t n) {
   const RpcOptions& options = rpc_options_;
   const Nanos start = WallNowNanos();
   const Nanos deadline =
       options.deadline_ms > 0 ? start + options.deadline_ms * 1'000'000 : 0;
   int64_t backoff_ms = std::max<int64_t>(1, options.backoff_initial_ms);
+  // The calls still to attempt, compacted in place after every round. A
+  // single call (every Call()) needs no allocation.
+  Attempt single{calls};
+  std::vector<Attempt> many(n > 1 ? n : 0);
+  for (size_t i = 0; i < many.size(); ++i) many[i].call = &calls[i];
+  Attempt* pending = n > 1 ? many.data() : &single;
+  size_t left = n;
   for (int attempt = 0;; ++attempt) {
-    Status status = CallOnce(node, method, request, response);
-    if (status.code() == StatusCode::kTimedOut) {
-      stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (status.ok()) return status;
-    stats_.failed_requests.fetch_add(1, std::memory_order_relaxed);
-    if (!IsRetryable(status.code()) || attempt >= options.max_retries) {
-      return status;
-    }
-    if (deadline != 0) {
-      const Nanos remaining = deadline - WallNowNanos();
-      if (remaining <= 0) {
+    AttemptEach(pending, left);
+    const size_t attempted = left;
+    left = 0;
+    for (size_t i = 0; i < attempted; ++i) {
+      RpcCall* call = pending[i].call;
+      const StatusCode code = call->status.code();
+      if (code == StatusCode::kTimedOut) {
         stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-        return Status::TimedOut("rpc deadline exceeded after " +
-                                std::to_string(attempt + 1) +
-                                " attempt(s); last: " + status.ToString());
+      }
+      if (code != StatusCode::kOk) {
+        stats_.failed_requests.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (code == StatusCode::kOk || !IsRetryable(code) ||
+          attempt >= options.max_retries) {
+        RecordCall(*call, start, pending[i].done_ns);
+      } else {
+        pending[left++] = pending[i];
+      }
+    }
+    if (left == 0) break;
+    if (deadline != 0) {
+      const Nanos now = WallNowNanos();
+      const Nanos remaining = deadline - now;
+      if (remaining <= 0) {
+        for (size_t i = 0; i < left; ++i) {
+          stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+          RpcCall* call = pending[i].call;
+          call->status = Status::TimedOut(
+              "rpc deadline exceeded after " + std::to_string(attempt + 1) +
+              " attempt(s); last: " + call->status.ToString());
+          RecordCall(*call, start, now);
+        }
+        break;
       }
       // Never sleep past the deadline: cap the backoff at what is left.
       backoff_ms = std::min<int64_t>(backoff_ms, remaining / 1'000'000 + 1);
@@ -88,9 +127,12 @@ Status Transport::CallWithRetries(NodeId node, uint32_t method,
         options.backoff_max_ms,
         static_cast<int64_t>(static_cast<double>(backoff_ms) *
                              options.backoff_multiplier));
-    stats_.retries.fetch_add(1, std::memory_order_relaxed);
-    response->clear();
+    for (size_t i = 0; i < left; ++i) {
+      stats_.retries.fetch_add(1, std::memory_order_relaxed);
+      pending[i].call->response->clear();
+    }
   }
+  return AggregateCallErrors(calls, n);
 }
 
 ThreadPool* Transport::pool() {
@@ -103,42 +145,28 @@ ThreadPool* Transport::pool() {
   return pool_.get();
 }
 
-void Transport::CallAsync(NodeId node, uint32_t method, const Buffer& request,
-                          Buffer* response,
-                          std::function<void(Status)> done) {
-  const Buffer* req = &request;
-  pool()->Submit([this, node, method, req, response,
-                  done = std::move(done)] {
-    done(Call(node, method, *req, response));
-  });
-}
-
 Status Transport::ParallelCall(RpcCall* calls, size_t n) {
-  static const Buffer kEmptyRequest;
   if (n == 0) return Status::OK();
-  auto request_of = [](const RpcCall& call) -> const Buffer& {
-    return call.request != nullptr ? *call.request : kEmptyRequest;
-  };
   if (n == 1) {
-    calls[0].status =
-        Call(calls[0].node, calls[0].method, request_of(calls[0]),
-             calls[0].response);
+    calls[0].status = Call(calls[0].node, calls[0].method, calls[0].payload(),
+                           calls[0].response);
     return calls[0].status;
   }
 
   std::mutex mutex;
   std::condition_variable cv;
   size_t outstanding = n - 1;
+  ThreadPool* fan_out = pool();
   for (size_t i = 1; i < n; ++i) {
     RpcCall* call = &calls[i];
-    CallAsync(call->node, call->method, request_of(*call), call->response,
-              [call, &mutex, &cv, &outstanding](Status status) {
-                call->status = std::move(status);
-                std::lock_guard<std::mutex> lock(mutex);
-                if (--outstanding == 0) cv.notify_one();
-              });
+    fan_out->Submit([this, call, &mutex, &cv, &outstanding] {
+      call->status =
+          Call(call->node, call->method, call->payload(), call->response);
+      std::lock_guard<std::mutex> lock(mutex);
+      if (--outstanding == 0) cv.notify_one();
+    });
   }
-  calls[0].status = Call(calls[0].node, calls[0].method, request_of(calls[0]),
+  calls[0].status = Call(calls[0].node, calls[0].method, calls[0].payload(),
                          calls[0].response);
   {
     std::unique_lock<std::mutex> lock(mutex);
@@ -156,19 +184,18 @@ Status Transport::AggregateCallErrors(const RpcCall* calls, size_t n) {
     if (first == nullptr) first = &calls[i];
   }
   if (first == nullptr) return Status::OK();
-  if (failing == 1) return first->status;
-  // Several nodes failed: keep the first failure's code (deterministic in
-  // call order) but list every failing node in the message.
+  if (n == 1) return first->status;
+  // Keep the first failure's code (deterministic in call order) but name
+  // every failing node in the message.
   std::string message;
+  if (failing > 1) message = std::to_string(failing) + " nodes failed: ";
   for (size_t i = 0; i < n; ++i) {
     if (calls[i].status.ok()) continue;
-    if (!message.empty()) message += "; ";
+    if (&calls[i] != first) message += "; ";
     message += "node " + std::to_string(calls[i].node) + ": " +
                calls[i].status.ToString();
   }
-  return Status::FromCode(
-      first->status.code(),
-      std::to_string(failing) + " nodes failed: " + message);
+  return Status::FromCode(first->status.code(), std::move(message));
 }
 
 void InProcTransport::RegisterNode(NodeId node, RpcHandler handler) {

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "net/message.h"
@@ -106,13 +107,16 @@ struct RpcCall {
   const Buffer* request = nullptr;
   Buffer* response = nullptr;
   Status status;  // per-call result, filled by ParallelCall
+
+  /// `*request`, or an empty buffer when `request` is null.
+  const Buffer& payload() const;
 };
 
 /// RPC transport. Implementations: in-process (deterministic, default for
-/// tests/benches) and TCP loopback (demonstrates the real wire path; see
-/// TcpTransport). Call() is the blocking primitive; CallAsync()/
-/// ParallelCall() overlap independent per-node requests, which is how the
-/// worker pulls/pushes shards from all PS nodes concurrently (Section IV).
+/// tests/benches) and TCP (the real wire path; see TcpTransport). Call() is
+/// the blocking primitive; ParallelCall() overlaps independent per-node
+/// requests, which is how the worker pulls/pushes shards from all
+/// PS nodes concurrently (Section IV).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -136,25 +140,18 @@ class Transport {
   void set_rpc_options(const RpcOptions& options) { rpc_options_ = options; }
   const RpcOptions& rpc_options() const { return rpc_options_; }
 
-  /// Issues `method` on `node` without blocking the caller; `done` runs
-  /// exactly once with the call's status after the response landed in
-  /// `*response`. `request` and `response` must stay alive until then, and
-  /// all outstanding completions must have run before the transport is
-  /// destroyed (ParallelCall guarantees both). The default implementation
-  /// dispatches the blocking Call() onto a lazily started internal thread
-  /// pool; `done` then runs on a pool thread.
-  virtual void CallAsync(NodeId node, uint32_t method, const Buffer& request,
-                         Buffer* response, std::function<void(Status)> done);
-
   /// Issues all `calls` concurrently and blocks until every one finished.
-  /// Per-call results land in RpcCall::status; the return value carries the
-  /// code of the first non-OK status in call order (deterministic
-  /// regardless of completion order) and a message aggregating *every*
-  /// failing node ("node 1: ...; node 3: ..."), so multi-node fault
-  /// schedules are debuggable from a single Status. The calling thread
-  /// serves calls[0] itself, so a single-call fan-out pays no thread
-  /// handoff.
-  Status ParallelCall(RpcCall* calls, size_t n);
+  /// Each call follows Call()'s RpcOptions policy on its own. Per-call
+  /// results land in RpcCall::status; the return value carries the code of
+  /// the first non-OK status in call order (deterministic regardless of
+  /// completion order) and a message aggregating *every* failing node
+  /// ("node 1: ...; node 3: ..."), so multi-node fault schedules are
+  /// debuggable from a single Status. The default runs calls[1..n) on a
+  /// lazily started internal thread pool and serves calls[0] on the calling
+  /// thread, so a single-call fan-out pays no thread handoff; TcpTransport
+  /// overrides it to send every request and then read the replies on the
+  /// calling thread.
+  virtual Status ParallelCall(RpcCall* calls, size_t n);
   Status ParallelCall(std::vector<RpcCall>* calls) {
     return ParallelCall(calls->data(), calls->size());
   }
@@ -162,15 +159,25 @@ class Transport {
   const NetStats& stats() const { return stats_; }
 
  protected:
-  /// Blocks until every outstanding CallAsync completion has run, by
-  /// destroying the fan-out pool (which drains its queue first). Derived
-  /// transports MUST call this at the top of their destructor: queued
-  /// completions call back into CallOnce, which touches derived members
-  /// that are gone by the time the base destructor would reap the pool.
-  void ShutdownCallAsync() {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    pool_.reset();
-  }
+  /// Runs `calls` under the RpcOptions policy and returns the aggregate
+  /// ParallelCall status. Every call gets a first attempt through
+  /// AttemptEach; the calls that failed retryably are re-attempted together
+  /// after one shared backoff sleep. The calls share the options and the
+  /// start time, so each gets the attempts, sleeps and deadline it would
+  /// get alone, and failed_requests, retries and timeouts count exactly as
+  /// for n separate Call()s. Records net.rpc_ns and a net/rpc span per call.
+  Status CallWithRetries(RpcCall* calls, size_t n);
+
+  /// One call of an AttemptEach round and the wall time it finished.
+  struct Attempt {
+    RpcCall* call = nullptr;
+    Nanos done_ns = 0;
+  };
+
+  /// One attempt of each of `attempts[0..n)`, with no retry policy: fills
+  /// every RpcCall::status and done_ns. The default runs CallOnce on each
+  /// call in turn.
+  virtual void AttemptEach(Attempt* attempts, size_t n);
 
   NetStats stats_;
 
@@ -178,10 +185,8 @@ class Transport {
   /// Folds per-call statuses into ParallelCall's aggregate return value.
   static Status AggregateCallErrors(const RpcCall* calls, size_t n);
 
-  /// Call() including the retry/backoff loop; Call() itself only wraps this
-  /// with the latency instrument and trace span.
-  Status CallWithRetries(NodeId node, uint32_t method, const Buffer& request,
-                         Buffer* response);
+  /// Records `call`'s latency (net.rpc_ns) and its net/rpc span.
+  void RecordCall(const RpcCall& call, Nanos start, Nanos end);
 
   /// Lazily registered "net.rpc_ns" distribution for `node`, labeled with
   /// this transport's instance id. Lock-free after first use per node;
@@ -195,10 +200,11 @@ class Transport {
   std::array<std::atomic<obs::Distribution*>, kMaxTrackedNodes> rpc_latency_{};
   std::atomic<obs::Distribution*> rpc_latency_other_{nullptr};
 
-  /// Lazily started fan-out pool shared by every CallAsync on this
-  /// transport. Sized generously: fan-out tasks are I/O-bound blocking
-  /// calls, so oversubscription is harmless while undersizing serializes
-  /// the very round-trips ParallelCall exists to overlap.
+  /// Lazily started pool shared by every default ParallelCall on this
+  /// transport; it only runs work while a ParallelCall waits for it, so no
+  /// task outlives the call. Sized generously: fan-out tasks are I/O-bound
+  /// blocking calls, so oversubscription is harmless while undersizing
+  /// serializes the very round-trips ParallelCall exists to overlap.
   ThreadPool* pool();
 
   std::mutex pool_mutex_;
@@ -209,12 +215,10 @@ class Transport {
 /// space. Requests still cross a serialization boundary, so the code path
 /// (encode -> dispatch -> decode) matches the distributed deployment.
 /// Handlers run on the caller's thread for Call() and on fan-out pool
-/// threads for CallAsync(), so they must be thread-safe (PsService is, to
-/// the extent its store is).
+/// threads for ParallelCall(), so they must be thread-safe (PsService is,
+/// to the extent its store is).
 class InProcTransport final : public Transport {
  public:
-  ~InProcTransport() override { ShutdownCallAsync(); }
-
   /// Registers `handler` as `node`. Replaces any previous registration.
   void RegisterNode(NodeId node, RpcHandler handler);
   void UnregisterNode(NodeId node);

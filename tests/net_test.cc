@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -222,6 +226,52 @@ TEST(TcpTest, RemoteErrorSurfacesMessage) {
   auto status = transport.Call(0, 1, {}, &response);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("bad payload"), std::string::npos);
+}
+
+TEST(TcpTest, RemoteStatusCodesRoundTrip) {
+  auto server = TcpServer::Start(0, [](uint32_t method, const Buffer&,
+                                       Buffer*) {
+    if (method == 1) return Status::WrongOwner("slot 7 moved");
+    if (method == 2) return Status::Unavailable("draining");
+    // A code no StatusCode names: the client must not trust it.
+    return Status::FromCode(static_cast<StatusCode>(200), "from the future");
+  }).ValueOrDie();
+  TcpTransport transport;
+  transport.AddNode(0, "127.0.0.1", server->port());
+  Buffer response;
+
+  Status status = transport.Call(0, 1, {}, &response);
+  EXPECT_TRUE(status.IsWrongOwner()) << status.ToString();
+  EXPECT_NE(status.message().find("slot 7 moved"), std::string::npos);
+
+  status = transport.Call(0, 2, {}, &response);
+  EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+  EXPECT_NE(status.message().find("draining"), std::string::npos);
+
+  status = transport.Call(0, 3, {}, &response);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("from the future"), std::string::npos);
+  EXPECT_TRUE(response.empty());
+}
+
+TEST(TcpTest, RemoteUnavailableIsRetried) {
+  std::atomic<int> attempts{0};
+  auto server = TcpServer::Start(0, [&](uint32_t, const Buffer& request,
+                                        Buffer* response) {
+    if (attempts.fetch_add(1) == 0) return Status::Unavailable("warming up");
+    *response = request;
+    return Status::OK();
+  }).ValueOrDie();
+  TcpTransport transport;
+  RpcOptions options;
+  options.max_retries = 2;
+  transport.set_rpc_options(options);
+  transport.AddNode(0, "127.0.0.1", server->port());
+  Buffer response;
+  ASSERT_TRUE(transport.Call(0, 0, {4}, &response).ok());
+  EXPECT_EQ(response, Buffer({4}));
+  EXPECT_EQ(attempts.load(), 2);
+  EXPECT_EQ(transport.stats().retries.load(), 1u);
 }
 
 TEST(TcpTest, MultipleSequentialCallsReuseConnection) {
@@ -489,36 +539,6 @@ TEST(ParallelCallTest, HandlerFailingMidFanOutLeavesOthersIntact) {
   }
 }
 
-// ---------- CallAsync lifetime ----------
-
-TEST(CallAsyncTest, CompletionsFinishBeforeTransportDestruction) {
-  std::atomic<int> completed{0};
-  constexpr int kCalls = 32;
-  std::vector<Buffer> requests(kCalls);
-  std::vector<Buffer> responses(kCalls);
-  {
-    InProcTransport transport;
-    transport.RegisterNode(0, [](uint32_t, const Buffer&, Buffer* response) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      response->push_back(7);
-      return Status::OK();
-    });
-    for (int i = 0; i < kCalls; ++i) {
-      transport.CallAsync(0, 0, requests[i], &responses[i],
-                          [&](Status status) {
-                            EXPECT_TRUE(status.ok());
-                            completed.fetch_add(1);
-                          });
-    }
-    // Transport destroyed here with completions possibly still queued: the
-    // dtor must drain them, not abandon or race them.
-  }
-  EXPECT_EQ(completed.load(), kCalls);
-  for (const Buffer& response : responses) {
-    EXPECT_EQ(response, Buffer({7}));
-  }
-}
-
 // ---------- TCP fault paths ----------
 
 TEST(TcpTest, ConnectionRefusedIsUnavailable) {
@@ -614,6 +634,244 @@ TEST(TcpTest, ConcurrentClients) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// ---------- TCP fan-out: send every request, then read the replies ----------
+
+/// Echo server that appends `tag` to every reply.
+std::unique_ptr<TcpServer> StartTaggedEcho(uint8_t tag, uint16_t port = 0) {
+  return TcpServer::Start(port, [tag](uint32_t, const Buffer& request,
+                                      Buffer* response) {
+    *response = request;
+    response->push_back(tag);
+    return Status::OK();
+  }).ValueOrDie();
+}
+
+/// A two-node fan-out of `requests[i]` to node i.
+std::vector<RpcCall> TwoNodeCalls(std::vector<Buffer>* requests,
+                                  std::vector<Buffer>* responses) {
+  responses->assign(2, Buffer());
+  std::vector<RpcCall> calls(2);
+  for (NodeId node = 0; node < 2; ++node) {
+    calls[node].node = node;
+    calls[node].request = &(*requests)[node];
+    calls[node].response = &(*responses)[node];
+  }
+  return calls;
+}
+
+size_t ThreadsInProcess() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST(TcpFanOutTest, RequestsOverlap) {
+  // Each handler waits (bounded) until both requests have arrived, which
+  // only happens if the client sent the second request before reading the
+  // first reply.
+  std::atomic<int> arrived{0};
+  auto handler = [&](uint32_t, const Buffer& request, Buffer* response) {
+    arrived.fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    if (arrived.load() < 2) return Status::Aborted("requests did not overlap");
+    *response = request;
+    return Status::OK();
+  };
+  auto server0 = TcpServer::Start(0, handler).ValueOrDie();
+  auto server1 = TcpServer::Start(0, handler).ValueOrDie();
+  TcpTransport transport;
+  transport.AddNode(0, "127.0.0.1", server0->port());
+  transport.AddNode(1, "127.0.0.1", server1->port());
+
+  std::vector<Buffer> requests = {{1}, {2}};
+  std::vector<Buffer> responses;
+  std::vector<RpcCall> calls = TwoNodeCalls(&requests, &responses);
+  const Status status = transport.ParallelCall(&calls);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(responses[0], Buffer({1}));
+  EXPECT_EQ(responses[1], Buffer({2}));
+}
+
+TEST(TcpFanOutTest, StartsNoThreads) {
+  auto server0 = StartTaggedEcho(10);
+  auto server1 = StartTaggedEcho(11);
+  TcpTransport transport;
+  transport.AddNode(0, "127.0.0.1", server0->port());
+  transport.AddNode(1, "127.0.0.1", server1->port());
+  // Warm up with plain Calls: each server starts its connection thread.
+  Buffer response;
+  ASSERT_TRUE(transport.Call(0, 0, {}, &response).ok());
+  ASSERT_TRUE(transport.Call(1, 0, {}, &response).ok());
+
+  const size_t before = ThreadsInProcess();
+  std::vector<Buffer> requests = {{1}, {2}};
+  std::vector<Buffer> responses;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<RpcCall> calls = TwoNodeCalls(&requests, &responses);
+    ASSERT_TRUE(transport.ParallelCall(&calls).ok());
+    ASSERT_EQ(responses[0], Buffer({1, 10}));
+    ASSERT_EQ(responses[1], Buffer({2, 11}));
+  }
+  EXPECT_EQ(ThreadsInProcess(), before);
+}
+
+TEST(TcpFanOutTest, SurvivesOneServerRestartBetweenFanOuts) {
+  auto server0 = StartTaggedEcho(10);
+  auto server1 = StartTaggedEcho(11);
+  const uint16_t port1 = server1->port();
+  TcpTransport transport;
+  transport.AddNode(0, "127.0.0.1", server0->port());
+  transport.AddNode(1, "127.0.0.1", port1);
+  std::vector<Buffer> requests = {{1}, {2}};
+  std::vector<Buffer> responses;
+  std::vector<RpcCall> calls = TwoNodeCalls(&requests, &responses);
+  ASSERT_TRUE(transport.ParallelCall(&calls).ok());
+
+  // Node 1 restarts on its port: its pooled connection is now stale, and
+  // the fan-out must redial it without disturbing node 0's exchange.
+  server1.reset();
+  server1 = StartTaggedEcho(21, port1);
+  requests = {{3}, {4}};
+  calls = TwoNodeCalls(&requests, &responses);
+  const Status status = transport.ParallelCall(&calls);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(responses[0], Buffer({3, 10}));
+  EXPECT_EQ(responses[1], Buffer({4, 21}));
+}
+
+TEST(TcpFanOutTest, RefusedNodeIsNamedAndCountedLikeCall) {
+  auto server0 = StartTaggedEcho(10);
+  RpcOptions options;
+  options.max_retries = 2;
+  options.backoff_initial_ms = 1;
+
+  TcpTransport fan_out;
+  fan_out.set_rpc_options(options);
+  fan_out.AddNode(0, "127.0.0.1", server0->port());
+  fan_out.AddNode(1, "127.0.0.1", 1);  // reserved port, nothing listening
+  std::vector<Buffer> requests = {{1}, {2}};
+  std::vector<Buffer> responses;
+  std::vector<RpcCall> calls = TwoNodeCalls(&requests, &responses);
+  const Status status = fan_out.ParallelCall(&calls);
+  EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+  EXPECT_NE(status.message().find("node 1"), std::string::npos);
+  EXPECT_TRUE(calls[0].status.ok());
+  EXPECT_EQ(responses[0], Buffer({1, 10}));
+  EXPECT_TRUE(calls[1].status.IsUnavailable());
+
+  TcpTransport single;
+  single.set_rpc_options(options);
+  single.AddNode(1, "127.0.0.1", 1);
+  Buffer response;
+  EXPECT_TRUE(single.Call(1, 0, {2}, &response).IsUnavailable());
+
+  const NetStats::Snapshot a = fan_out.stats().TakeSnapshot();
+  const NetStats::Snapshot b = single.stats().TakeSnapshot();
+  EXPECT_EQ(a.failed_requests, 3u);  // 1 attempt + 2 retries
+  EXPECT_EQ(a.failed_requests, b.failed_requests);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+}
+
+TEST(TcpFanOutTest, HungNodesTimeOutTogether) {
+  // Replies are read in call order, but under a deadline every read of an
+  // attempt shares one bound: two hung nodes must not take twice as long
+  // as one.
+  std::atomic<bool> release{false};
+  auto handler = [&](uint32_t, const Buffer& request, Buffer* response) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!release.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    *response = request;
+    return Status::OK();
+  };
+  auto server0 = TcpServer::Start(0, handler).ValueOrDie();
+  auto server1 = TcpServer::Start(0, handler).ValueOrDie();
+  TcpTransport transport;
+  RpcOptions options;
+  options.deadline_ms = 200;
+  transport.set_rpc_options(options);
+  transport.AddNode(0, "127.0.0.1", server0->port());
+  transport.AddNode(1, "127.0.0.1", server1->port());
+
+  std::vector<Buffer> requests = {{1}, {2}};
+  std::vector<Buffer> responses;
+  std::vector<RpcCall> calls = TwoNodeCalls(&requests, &responses);
+  const auto start = std::chrono::steady_clock::now();
+  const Status status = transport.ParallelCall(&calls);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  release.store(true);
+  EXPECT_EQ(status.code(), StatusCode::kTimedOut) << status.ToString();
+  EXPECT_EQ(calls[0].status.code(), StatusCode::kTimedOut);
+  EXPECT_EQ(calls[1].status.code(), StatusCode::kTimedOut);
+  // One deadline per node in turn would take at least 400 ms.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(350));
+}
+
+TEST(TcpFanOutTest, ConcurrentFanOutsShareOneTransport) {
+  auto server0 = StartTaggedEcho(10);
+  auto server1 = StartTaggedEcho(11);
+  TcpTransport transport;
+  transport.AddNode(0, "127.0.0.1", server0->port());
+  transport.AddNode(1, "127.0.0.1", server1->port());
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 50; ++i) {
+        std::vector<Buffer> requests = {
+            {static_cast<uint8_t>(t), static_cast<uint8_t>(i), 0},
+            {static_cast<uint8_t>(t), static_cast<uint8_t>(i), 1}};
+        std::vector<Buffer> responses;
+        std::vector<RpcCall> calls = TwoNodeCalls(&requests, &responses);
+        Buffer expected0 = requests[0];
+        expected0.push_back(10);
+        Buffer expected1 = requests[1];
+        expected1.push_back(11);
+        if (!transport.ParallelCall(&calls).ok() ||
+            responses[0] != expected0 || responses[1] != expected1) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(TcpFanOutTest, LargeFramesBothWaysDoNotDeadlock) {
+  // Replies bigger than the socket buffers: each server blocks writing its
+  // reply until the client reads it, which is safe because every request
+  // was read in full before its reply was written.
+  auto server0 = StartTaggedEcho(10);
+  auto server1 = StartTaggedEcho(11);
+  TcpTransport transport;
+  transport.AddNode(0, "127.0.0.1", server0->port());
+  transport.AddNode(1, "127.0.0.1", server1->port());
+  std::vector<Buffer> requests(2);
+  for (size_t node = 0; node < 2; ++node) {
+    requests[node].resize(2u << 20);
+    for (size_t i = 0; i < requests[node].size(); ++i) {
+      requests[node][i] = static_cast<uint8_t>(i * 31 + node);
+    }
+  }
+  std::vector<Buffer> responses;
+  std::vector<RpcCall> calls = TwoNodeCalls(&requests, &responses);
+  ASSERT_TRUE(transport.ParallelCall(&calls).ok());
+  for (size_t node = 0; node < 2; ++node) {
+    ASSERT_EQ(responses[node].size(), requests[node].size() + 1);
+    EXPECT_TRUE(std::equal(requests[node].begin(), requests[node].end(),
+                           responses[node].begin()));
+    EXPECT_EQ(responses[node].back(), 10 + node);
+  }
 }
 
 }  // namespace

@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "net/faulty_transport.h"
+#include "net/tcp.h"
 #include "net/transport.h"
 #include "ps/ps_client.h"
 #include "ps/ps_cluster.h"
 #include "ps/ps_service.h"
+#include "storage/dram_store.h"
 #include "storage/optimizer.h"
 
 namespace oe {
@@ -464,6 +466,48 @@ TEST(NodeLifecycleTest, KillCallbackWiredToClusterKillsForReal) {
   // the cluster really tore the node down (store gone, device crashed).
   EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
   EXPECT_TRUE(cluster->node_down(1));
+}
+
+// ---------- Remote status codes over TCP ----------
+
+TEST(TcpStatusTest, PullReroutesAfterRemoteWrongOwner) {
+  // Node 0 rejects the first Pull with kWrongOwner, as a node does right
+  // after a migration moved a slot away. Over TCP the code must survive the
+  // wire so PsClient refreshes and re-routes instead of failing hard.
+  constexpr uint32_t kDim = 4;
+  std::vector<std::unique_ptr<storage::DramStore>> stores;
+  std::vector<std::unique_ptr<ps::PsService>> services;
+  std::vector<std::unique_ptr<net::TcpServer>> servers;
+  std::atomic<int> pulls_at_node0{0};
+  net::TcpTransport transport;
+  for (NodeId node = 0; node < 2; ++node) {
+    storage::StoreConfig config;
+    config.dim = kDim;
+    stores.push_back(storage::DramStore::Create(config, nullptr).ValueOrDie());
+    services.push_back(std::make_unique<ps::PsService>(stores.back().get()));
+    net::RpcHandler inner = services.back()->AsHandler();
+    servers.push_back(
+        net::TcpServer::Start(0, [&, node, inner](uint32_t method,
+                                                  const Buffer& request,
+                                                  Buffer* response) {
+          if (node == 0 &&
+              method == static_cast<uint32_t>(ps::PsMethod::kPull) &&
+              pulls_at_node0.fetch_add(1) == 0) {
+            return Status::WrongOwner("slot moved");
+          }
+          return inner(method, request, response);
+        }).ValueOrDie());
+    transport.AddNode(node, "127.0.0.1", servers.back()->port());
+  }
+
+  ps::PsClient client(&transport, 2, kDim);
+  std::vector<storage::EntryId> keys(16);
+  std::iota(keys.begin(), keys.end(), 0);
+  std::vector<float> weights(keys.size() * kDim);
+  const Status status =
+      client.Pull(keys.data(), keys.size(), /*batch=*/1, weights.data());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(pulls_at_node0.load(), 2);  // rejected once, then served
 }
 
 }  // namespace
